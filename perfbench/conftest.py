@@ -1,0 +1,10 @@
+"""Make the library and the benchmark modules importable for the tests:
+``python -m pytest perfbench -q`` from the repository root."""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+for path in (HERE.parent / "src", HERE):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
