@@ -8,9 +8,14 @@ queue re-opens the torn-file window those tests closed.  This pass
 makes the discipline structural:
 
 * **REPRO230** — a raw write sink in durability scope:
-  ``open(..., "w"/"a")``, ``<path>.write_text(...)`` /
-  ``write_bytes(...)``, or ``json.dump(obj, handle)``.  Replace with
-  ``atomic_write_text`` (serialize first, write once).
+  ``open(..., "w"/"a")``, ``os.open(...)`` with any write flag
+  (``O_WRONLY``/``O_RDWR``/``O_APPEND``/``O_CREAT``/``O_TRUNC``),
+  ``<path>.write_text(...)`` / ``write_bytes(...)``, or
+  ``json.dump(obj, handle)``.  Replace with ``atomic_write_text``
+  (serialize first, write once), or — for an append-only record of
+  transitions — :class:`repro.fsutil.SnapshotJournal`, the one
+  sanctioned append path (it fsyncs every line and drops a torn tail
+  on replay).
 * **REPRO231** — a hand-rolled "atomic" rename: a function that both
   writes a file and ``os.replace``/``os.rename``/``Path.replace``-s it
   without an ``os.fsync`` in between.  A crash between the write and
@@ -20,8 +25,8 @@ makes the discipline structural:
 Scope: the packages whose files survive a process (``store``,
 ``tuning``) plus the known durable-artifact modules elsewhere
 (plan cache, analysis baseline, fault scenarios/injector, compiled
-plan artifacts).  :mod:`repro.fsutil` itself is exempt — it is the
-sink the rule points at.  Deliberate torn writes in chaos-injection
+plan artifacts).  :mod:`repro.fsutil` itself is exempt — it holds the
+sinks the rule points at.  Deliberate torn writes in chaos-injection
 code carry ``# repro-analysis: ignore[REPRO230]`` pragmas.
 """
 
@@ -48,6 +53,7 @@ DURABILITY_FILES: Set[str] = {
 EXEMPT_MODULES: Set[str] = {"fsutil"}
 
 _WRITE_MODES = ("w", "a", "x")
+_WRITE_FLAGS = {"O_WRONLY", "O_RDWR", "O_APPEND", "O_CREAT", "O_TRUNC"}
 _PATH_WRITERS = {"write_text", "write_bytes"}
 _RENAMERS = {"os.rename", "os.replace"}
 
@@ -77,6 +83,26 @@ def _open_write_mode(call: ast.Call, canonical: str) -> bool:
     if isinstance(mode, ast.Constant) and isinstance(mode.value, str):
         return any(flag in mode.value for flag in _WRITE_MODES)
     return True  # dynamic mode: assume the worst
+
+
+def _os_open_for_write(call: ast.Call, canonical: str) -> bool:
+    """Is this an ``os.open(path, flags)`` whose flags may write?"""
+    if canonical != "os.open":
+        return False
+    flags: Optional[ast.expr] = call.args[1] if len(call.args) >= 2 else None
+    for keyword in call.keywords:
+        if keyword.arg == "flags":
+            flags = keyword.value
+    if flags is None:
+        return True  # malformed call: assume the worst
+    names = {
+        node.attr if isinstance(node, ast.Attribute) else node.id
+        for node in ast.walk(flags)
+        if isinstance(node, (ast.Attribute, ast.Name))
+    }
+    if not any(name.startswith("O_") for name in names):
+        return True  # dynamic flags: assume the worst
+    return bool(_WRITE_FLAGS & names)
 
 
 def _is_path_write(call: ast.Call) -> Optional[str]:
@@ -178,6 +204,13 @@ class DurabilityAnalysis:
                     'open(..., "w") writes a durable file non-atomically; '
                     "use fsutil.atomic_write_text",
                 )
+            elif _os_open_for_write(call, canonical):
+                emit(
+                    RULE_RAW_WRITE, call,
+                    "os.open for writing bypasses the atomic and journal "
+                    "sinks; use fsutil.atomic_write_text or "
+                    "fsutil.SnapshotJournal",
+                )
             elif _is_json_dump(canonical):
                 emit(
                     RULE_RAW_WRITE, call,
@@ -191,6 +224,7 @@ class DurabilityAnalysis:
             wrote = any(
                 _is_path_write(call) is not None
                 or _open_write_mode(call, _canonical(call, module))
+                or _os_open_for_write(call, _canonical(call, module))
                 for call in calls
             )
             fsynced = any(

@@ -28,10 +28,13 @@ Fault scenarios:
 
 Plan stores (``repro check-plan <store-dir>``):
 
-* manifest schema / version / entry structure (REPRO310);
+* manifest schema / version / entry structure, and every complete line
+  of the ``manifest.log`` journal (REPRO310; a torn final line is a
+  warning — the store drops it on load);
 * every entry's object exists, hashes to its content address, carries
   a valid payload checksum, and embeds the entry's key (REPRO311);
-* objects not referenced by any manifest entry are orphans (REPRO312,
+* objects not referenced by any manifest entry — snapshot or journal —
+  are orphans (REPRO312,
   warning — recoverable via ``PlanStore.rebuild``);
 * producer fingerprints that no longer match the current DeviceSpec /
   cost-model build are stale (REPRO313, warning — the store serves
@@ -446,10 +449,50 @@ def _entry_shape_problems(record: Mapping[str, object]) -> List[str]:
     return problems
 
 
+def _replay_manifest_journal(
+    path: Path, entries: Dict[str, object]
+) -> List[Finding]:
+    """Apply the manifest journal's well-formed records to ``entries``
+    the way the store replays them on load; report the rest."""
+    from ..fsutil import scan_journal
+
+    display = str(path)
+    scan = scan_journal(path)
+    out = [
+        _finding(RULE_STORE_SCHEMA, display, f"line {line}: {problem}")
+        for line, problem in scan.errors
+    ]
+    for record in scan.records:
+        if record.record is None:
+            entries.pop(record.id, None)
+            continue
+        problems = _entry_shape_problems(record.record)
+        if problems:
+            out.extend(
+                _finding(
+                    RULE_STORE_SCHEMA, display,
+                    f"line {record.line}: {problem}", symbol=record.id,
+                )
+                for problem in problems
+            )
+            continue
+        entries[record.id] = record.record
+    if scan.torn_bytes:
+        out.append(Finding(
+            rule=RULE_STORE_SCHEMA, path=display, severity="warning",
+            message=(
+                f"torn final line ({scan.torn_bytes} bytes) from an "
+                f"interrupted append; the store drops it on load"
+            ),
+        ))
+    return out
+
+
 def verify_plan_store(root: Union[str, Path]) -> List[Finding]:
     """Verify a :class:`~repro.store.plan_store.PlanStore` directory.
 
-    Checks the manifest's schema/version and entry structure (REPRO310),
+    Checks the manifest's schema/version and entry structure and the
+    ``manifest.log`` journal replayed over it (REPRO310),
     re-hashes every referenced object against its content address and
     re-validates its embedded artifact + key (REPRO311), reports objects
     no manifest entry references (REPRO312, warning — ``rebuild()``
@@ -457,7 +500,7 @@ def verify_plan_store(root: Union[str, Path]) -> List[Finding]:
     the current DeviceSpec / cost-model build (REPRO313, warning — the
     store already serves such entries as stale misses).
     """
-    from ..fsutil import TMP_SUFFIX, sha256_text
+    from ..fsutil import TMP_SUFFIX, journal_path, sha256_text
     from ..store.fingerprint import cost_model_fingerprint, device_fingerprint_for
     from ..store.plan_store import (
         MANIFEST_NAME,
@@ -507,6 +550,10 @@ def verify_plan_store(root: Union[str, Path]) -> List[Finding]:
             f"manifest entries must be an object, got {type(entries).__name__}",
         ))
         return out
+    entries = dict(entries)
+    out.extend(
+        _replay_manifest_journal(journal_path(manifest_path), entries)
+    )
 
     current_cost_fp = cost_model_fingerprint()
     referenced: Dict[str, str] = {}

@@ -27,7 +27,7 @@ import json
 from dataclasses import fields, is_dataclass
 from enum import Enum
 from types import MappingProxyType
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ..hardware.specs import DeviceSpec
 
@@ -88,12 +88,18 @@ def cost_model_fingerprint() -> str:
     return _COST_MODEL_CACHE
 
 
+#: name -> (spec object, its fingerprint): the store asks on every
+#: register and every read's stale check.
+_DEVICE_CACHE: Dict[str, Tuple[DeviceSpec, str]] = {}
+
+
 def device_fingerprint_for(name: str) -> str:
     """Fingerprint of a catalog device by name; "" when unknown.
 
     Unknown devices (tests with synthetic specs, catalogs from a newer
     build) fingerprint to the empty string, which the store treats as
-    "cannot check" rather than "stale".
+    "cannot check" rather than "stale".  Memoized per spec *object*: a
+    catalog entry replaced by a patched spec is fingerprinted afresh.
     """
     from ..hardware.specs import DEVICE_CATALOG
     from ..hardware.variants import VARIANT_CATALOG
@@ -101,7 +107,12 @@ def device_fingerprint_for(name: str) -> str:
     spec = DEVICE_CATALOG.get(name) or VARIANT_CATALOG.get(name)
     if spec is None:
         return ""
-    return device_fingerprint(spec)
+    cached = _DEVICE_CACHE.get(name)
+    if cached is not None and cached[0] is spec:
+        return cached[1]
+    fingerprint = device_fingerprint(spec)
+    _DEVICE_CACHE[name] = (spec, fingerprint)
+    return fingerprint
 
 
 __all__ = [

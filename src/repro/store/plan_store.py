@@ -5,9 +5,9 @@
 whose output — compiled plans — is the product (MITuna's model), so the
 store has database obligations the flat save-dir never had:
 
-* **Torn-write immunity.** Every write (objects *and* the manifest) is
-  tmp + :func:`os.replace`; a worker killed mid-write leaves at worst
-  an ignorable ``*.tmp`` corpse, never a half-written artifact.
+* **Torn-write immunity.** Every object write is tmp +
+  :func:`os.replace`; a worker killed mid-write leaves at worst an
+  ignorable ``*.tmp`` corpse, never a half-written artifact.
 * **Content addressing.** Artifact bytes live in
   ``objects/<sha256>.json``.  Two processes compiling the same key
   write the same bytes to the same path — concurrent writers are
@@ -18,17 +18,25 @@ store has database obligations the flat save-dir never had:
   :mod:`repro.store.fingerprint`) that built each plan.  It is the unit
   of determinism: two same-seed fleet runs must produce byte-identical
   manifests, so it contains no timestamps, no host names, no ordering
-  artifacts.
+  artifacts.  Each index change is one fsynced line in the sibling
+  ``manifest.log`` journal (:class:`~repro.fsutil.SnapshotJournal`);
+  the ``manifest.json`` snapshot is rewritten atomically only when the
+  journal outgrows it and when a fleet run finishes, so a registration
+  costs O(1) amortized instead of a whole-manifest rewrite.
 * **Quarantine, not crash.** A corrupt object (checksum mismatch, torn
   JSON, wrong key) is moved to ``quarantine/`` with a provenance
   record, its manifest entry dropped, and the lookup degrades to a
-  miss — the caller re-tunes.
+  miss — the caller re-tunes.  A corrupt manifest or a corrupt
+  complete journal line is quarantined the same way and the index is
+  rebuilt from the objects; a torn final journal line was never
+  acknowledged and is dropped.
 * **Staleness invalidation.** An entry whose producing fingerprints no
   longer match the current build is reported stale and skipped on read
   (perf4sight: a plan is only as valid as its cost model).
 
 Process model: many processes may *read* and may write *objects*
-concurrently; manifest updates are last-writer-wins atomic replaces, so
+concurrently; manifest updates assume one writer (a compaction by one
+process drops journal lines another appended after it loaded), so
 concurrent manifest writers should be funneled through one coordinator
 (what :class:`repro.tuning.fleet.TuneFleet` does).  In-process the
 store is thread-safe: every public operation runs under one lock.
@@ -46,7 +54,12 @@ from typing import Dict, List, Mapping, Optional, Union
 from ..compile.artifact import PlanArtifact
 from ..core.plan_cache import PlanKey
 from ..errors import ReproError
-from ..fsutil import atomic_write_text, sha256_text, sweep_tmp_files
+from ..fsutil import (
+    SnapshotJournal,
+    atomic_write_text,
+    sha256_text,
+    sweep_tmp_files,
+)
 from .fingerprint import cost_model_fingerprint, device_fingerprint_for
 
 _LOG = logging.getLogger(__name__)
@@ -60,6 +73,11 @@ QUARANTINE_SCHEMA = "repro.quarantine-record"
 MANIFEST_NAME = "manifest.json"
 OBJECTS_DIR = "objects"
 QUARANTINE_DIR = "quarantine"
+
+
+def object_path(root: Union[str, Path], sha256: str) -> Path:
+    """Where the object with content hash ``sha256`` lives under ``root``."""
+    return Path(root) / OBJECTS_DIR / f"{sha256}.json"
 
 
 @dataclass(frozen=True)
@@ -142,6 +160,9 @@ class PlanStore:
         #: corrupt objects moved to quarantine (each also a miss).
         self.quarantined = 0
         self._entries: Dict[str, StoreEntry] = {}
+        self._journal = SnapshotJournal(
+            self.manifest_path, self._render_manifest
+        )
         self._load_manifest()
 
     # -- paths ----------------------------------------------------------------
@@ -159,53 +180,81 @@ class PlanStore:
         return self.root / QUARANTINE_DIR
 
     def object_path(self, sha256: str) -> Path:
-        return self.objects_dir / f"{sha256}.json"
+        return object_path(self.root, sha256)
 
     # -- manifest persistence -------------------------------------------------
 
     def _load_manifest(self) -> None:
+        """Snapshot, then the journal replayed over it (last writer wins)."""
         path = self.manifest_path
-        if not path.exists():
-            return
         try:
-            data = json.loads(path.read_text())
-            if not isinstance(data, dict):
-                raise ReproError("store manifest must be a JSON object")
-            schema = data.get("schema")
-            if schema != STORE_SCHEMA:
-                raise ReproError(
-                    f"not a plan-store manifest (schema={schema!r}, "
-                    f"expected {STORE_SCHEMA!r})"
-                )
-            version = data.get("version")
-            if version != STORE_VERSION:
-                raise ReproError(
-                    f"unsupported plan-store version {version!r} "
-                    f"(this build reads {STORE_VERSION})"
-                )
-            raw_entries = data.get("entries", {})
-            if not isinstance(raw_entries, Mapping):
-                raise ReproError("manifest entries must be an object")
-            entries = {
-                str(slug): StoreEntry.from_dict(record)
-                for slug, record in raw_entries.items()
-            }
-        except (json.JSONDecodeError, ReproError) as exc:
-            # A torn or hand-edited manifest must not take the store
-            # down: quarantine it and rebuild the index from the
-            # content-addressed objects, which are self-describing.
-            _LOG.warning(
-                "plan-store manifest %s is corrupt (%s); quarantining "
-                "and rebuilding from objects", path, exc,
-            )
-            self._quarantine_file(
-                path, label="manifest", expected_sha="",
-                reason=f"corrupt manifest: {exc}",
-            )
-            self._entries = {}
-            self.rebuild()
+            text, records = self._journal.read()
+        except ReproError as exc:
+            self._recover(self._journal.journal_path, "manifest-journal", exc)
+            return
+        entries: Dict[str, StoreEntry] = {}
+        if text is not None:
+            try:
+                entries = self._parse_manifest(text)
+            except (json.JSONDecodeError, ReproError) as exc:
+                self._recover(path, "manifest", exc)
+                return
+        try:
+            for record in records:
+                if record.record is None:
+                    entries.pop(record.id, None)
+                    continue
+                entry = StoreEntry.from_dict(record.record)
+                if entry.key.slug() != record.id:
+                    raise ReproError(
+                        f"line {record.line} files {entry.key.slug()!r} "
+                        f"under {record.id!r}"
+                    )
+                entries[record.id] = entry
+        except ReproError as exc:
+            self._recover(self._journal.journal_path, "manifest-journal", exc)
             return
         self._entries = entries
+
+    def _recover(self, path: Path, label: str, exc: Exception) -> None:
+        """A torn or hand-edited index must not take the store down:
+        quarantine it and rebuild the index from the content-addressed
+        objects, which are self-describing."""
+        _LOG.warning(
+            "plan-store %s %s is corrupt (%s); quarantining and "
+            "rebuilding from objects", label, path, exc,
+        )
+        self._quarantine_file(
+            path, label=label, expected_sha="",
+            reason=f"corrupt {label.replace('-', ' ')}: {exc}",
+        )
+        self._entries = {}
+        self.rebuild()
+
+    @staticmethod
+    def _parse_manifest(text: str) -> Dict[str, StoreEntry]:
+        data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ReproError("store manifest must be a JSON object")
+        schema = data.get("schema")
+        if schema != STORE_SCHEMA:
+            raise ReproError(
+                f"not a plan-store manifest (schema={schema!r}, "
+                f"expected {STORE_SCHEMA!r})"
+            )
+        version = data.get("version")
+        if version != STORE_VERSION:
+            raise ReproError(
+                f"unsupported plan-store version {version!r} "
+                f"(this build reads {STORE_VERSION})"
+            )
+        raw_entries = data.get("entries", {})
+        if not isinstance(raw_entries, Mapping):
+            raise ReproError("manifest entries must be an object")
+        return {
+            str(slug): StoreEntry.from_dict(record)
+            for slug, record in raw_entries.items()
+        }
 
     def _manifest_doc(self) -> Dict[str, object]:
         return {
@@ -217,9 +266,26 @@ class PlanStore:
             },
         }
 
-    def _persist_manifest(self) -> None:
+    def _render_manifest(self) -> str:
         doc = json.dumps(self._manifest_doc(), indent=1, sort_keys=True)
-        atomic_write_text(self.manifest_path, doc + "\n")
+        return doc + "\n"
+
+    def _persist(self, slugs: List[str]) -> None:
+        """Durably record the current entry (or removal) of ``slugs``."""
+        changes = []
+        for slug in slugs:
+            entry = self._entries.get(slug)
+            changes.append((slug, None if entry is None else entry.to_dict()))
+        self._journal.append(changes, live=len(self._entries))
+
+    def compact(self) -> None:
+        """Fold ``manifest.log`` into ``manifest.json``.
+
+        Afterwards the snapshot holds the whole index and no journal is
+        left; the fleet calls this when a run finishes.
+        """
+        with self._lock:
+            self._journal.compact()
 
     def digest(self) -> str:
         """Stable content hash of the manifest — the determinism gate.
@@ -290,8 +356,9 @@ class PlanStore:
                     for k, v in self._fingerprints_for(artifact.key).items()
                 },
             )
-            self._entries[artifact.key.slug()] = entry
-            self._persist_manifest()
+            slug = artifact.key.slug()
+            self._entries[slug] = entry
+            self._persist([slug])
             return entry
 
     def register(self, key: PlanKey, sha256: str) -> StoreEntry:
@@ -354,7 +421,7 @@ class PlanStore:
                 },
             )
             self._entries[slug] = entry
-            self._persist_manifest()
+            self._persist([slug])
             return entry
 
     # -- reads ----------------------------------------------------------------
@@ -447,7 +514,7 @@ class PlanStore:
                 if path.exists():
                     path.unlink()
                     removed.append(path)
-                self._persist_manifest()
+                self._persist([slug])
             for corpse in self._quarantined_files(slug):
                 corpse.unlink()
                 removed.append(corpse)
@@ -471,7 +538,7 @@ class PlanStore:
                 if path.exists():
                     path.unlink()
             if stale:
-                self._persist_manifest()
+                self._persist(stale)
             return stale
 
     def sweep_tmp(self) -> List[Path]:
@@ -523,7 +590,7 @@ class PlanStore:
                     },
                 )
                 self._entries[artifact.key.slug()] = entry
-            self._persist_manifest()
+            self._journal.replace()
             return len(self._entries)
 
     # -- quarantine -----------------------------------------------------------
@@ -537,7 +604,7 @@ class PlanStore:
             slug, path, expected_sha=entry.sha256, reason=reason,
             network=entry.key.network,
         )
-        self._persist_manifest()
+        self._persist([slug])
         self.misses += 1
 
     def _quarantine_object(

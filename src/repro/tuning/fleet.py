@@ -14,6 +14,16 @@ labor is what makes crashes cheap:
   mismatch quarantines the bytes and retries the job;
 * a worker that hangs is bounded by the queue's lease deadline.
 
+The coordinator keeps ``2 * workers`` jobs submitted: one running and
+one queued behind it per worker, so no worker idles while the
+coordinator settles a result.  Each submission holds one of those
+``slot-<i>`` labels as its lease's worker name, and the lease covers
+the queued time too.  Every queue and manifest transition is an
+fsynced journal append (:class:`~repro.fsutil.SnapshotJournal`); the
+manifest record of a result is durable before the queue's ``complete``
+record, and a finished run folds both journals back into
+``manifest.json`` / ``queue.json`` and leaves no ``*.log`` behind.
+
 Failures are injected deterministically through the
 :class:`~repro.faults.FaultInjector` keyed draws — the outcome of
 (job, attempt) depends only on the seed, never on scheduling order —
@@ -28,7 +38,7 @@ import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from ..core.plan_cache import PlanKey
 from ..errors import ReproError
@@ -36,7 +46,7 @@ from ..faults.injector import FaultInjector
 from ..faults.resilience import RetryPolicy
 from ..faults.scenario import FaultScenario
 from ..fsutil import atomic_write_text, sha256_text
-from ..store.plan_store import PlanStore
+from ..store.plan_store import PlanStore, object_path
 from .queue import DONE, JobQueue, POISONED, TuneJob
 
 _LOG = logging.getLogger(__name__)
@@ -117,8 +127,7 @@ def _run_worker_job(
     artifact = _compile_artifact(key, mode)
     text = PlanStore.artifact_text(artifact)
     sha = sha256_text(text)
-    store = PlanStore(store_root, check_fingerprints=False)
-    path = store.object_path(sha)
+    path = object_path(store_root, sha)
     if injector is not None and injector.worker_crashes(
         job_id=job_id, attempt=attempt
     ):
@@ -250,18 +259,19 @@ class TuneFleet:
         )
         started = time.monotonic()
         quarantined_at_start = self.store.quarantined
-        in_flight: Dict[Future, TuneJob] = {}
+        # One running and one queued submission per worker.
+        free_slots = list(range(2 * self.workers))
+        in_flight: Dict[Future, Tuple[TuneJob, int]] = {}
         with ProcessPoolExecutor(max_workers=self.workers) as pool:
             while True:
                 now = time.monotonic() - started
                 self.queue.expire_leases(now)
-                # Fill every free pool slot with the hottest ready job.
-                while len(in_flight) < self.workers:
-                    job = self.queue.claim(
-                        f"worker-{len(in_flight)}", now
-                    )
+                # Fill every free slot with the hottest ready job.
+                while free_slots:
+                    job = self.queue.claim(f"slot-{free_slots[-1]}", now)
                     if job is None:
                         break
+                    slot = free_slots.pop()
                     report.attempts += 1
                     future = pool.submit(
                         _run_worker_job,
@@ -272,7 +282,7 @@ class TuneFleet:
                         scenario_data,
                         self.seed,
                     )
-                    in_flight[future] = job
+                    in_flight[future] = (job, slot)
                 if not in_flight:
                     ready_at = self.queue.next_ready_at(now)
                     if ready_at is None:
@@ -285,10 +295,14 @@ class TuneFleet:
                 )
                 now = time.monotonic() - started
                 for future in done:
-                    job = in_flight.pop(future)
+                    job, slot = in_flight.pop(future)
+                    free_slots.append(slot)
                     self._settle(future, job, now, report)
         # Collect torn-write corpses crashes left behind.
         self.store.sweep_tmp()
+        # Fold the journals: the manifest first, as on every transition.
+        self.store.compact()
+        self.queue.compact()
         counts = self.queue.counts()
         report.completed = counts[DONE]
         report.poisoned = counts[POISONED]

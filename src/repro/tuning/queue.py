@@ -19,9 +19,13 @@ never *hands over* a job — it **leases** it:
 The queue is *coordinator-owned*: exactly one process mutates it (the
 fleet's scheduler thread; workers are pool tasks that report back), so
 there is no cross-process locking — just crash safety.  Every
-transition persists the whole queue as one atomic JSON write, so a
-killed coordinator restarts from its last transition: leased jobs are
-simply left to expire and re-run.
+transition is durable before it returns: the changed jobs' full
+records are appended as fsynced lines to ``queue.log`` beside the
+``queue.json`` snapshot (:class:`~repro.fsutil.SnapshotJournal`), and
+the snapshot is rewritten only once the journal outgrows the queue, so
+a transition costs O(1) amortized instead of a whole-queue rewrite.  A
+killed coordinator restarts from its last transition (snapshot plus
+replayed journal): leased jobs are simply left to expire and re-run.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from typing import Dict, List, Mapping, Optional, Tuple, Union
 from ..core.plan_cache import PlanKey
 from ..errors import ReproError
 from ..faults.resilience import RetryPolicy
-from ..fsutil import atomic_write_text
+from ..fsutil import SnapshotJournal
 
 QUEUE_SCHEMA = "repro.tune-queue"
 QUEUE_VERSION = 1
@@ -156,6 +160,10 @@ class JobQueue:
                 f"lease_timeout_s must be > 0, got {lease_timeout_s}"
             )
         self._path = Path(path) if path is not None else None
+        self._journal = (
+            SnapshotJournal(self._path, self._render)
+            if self._path is not None else None
+        )
         self.retry_policy = retry_policy or RetryPolicy(
             max_attempts=4, base_delay_s=0.01, max_delay_s=0.25
         )
@@ -174,9 +182,7 @@ class JobQueue:
     def path(self) -> Optional[Path]:
         return self._path
 
-    def _persist(self) -> None:
-        if self._path is None:
-            return
+    def _render(self) -> str:
         doc = {
             "schema": QUEUE_SCHEMA,
             "version": QUEUE_VERSION,
@@ -185,9 +191,22 @@ class JobQueue:
                 for job_id in sorted(self._jobs)
             ],
         }
-        atomic_write_text(
-            self._path, json.dumps(doc, indent=1, sort_keys=True) + "\n"
+        return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+
+    def _persist(self, job_ids: List[str]) -> None:
+        """Durably record the post-transition state of ``job_ids``."""
+        if self._journal is None:
+            return
+        self._journal.append(
+            [(job_id, self._jobs[job_id].to_dict()) for job_id in job_ids],
+            live=len(self._jobs),
         )
+
+    def compact(self) -> None:
+        """Fold the journal into ``queue.json`` (the fleet's run end)."""
+        with self._lock:
+            if self._journal is not None:
+                self._journal.compact()
 
     @classmethod
     def load(
@@ -200,9 +219,12 @@ class JobQueue:
     ) -> "JobQueue":
         """Resume a queue from its file (crashed-coordinator restart).
 
-        Leased jobs are loaded as-is; their leases date from the dead
-        coordinator's clock, so callers typically follow up with
-        :meth:`expire_leases` to requeue them.
+        Reads the ``queue.json`` snapshot and replays ``queue.log`` over
+        it; a torn final journal line is dropped, a corrupt complete one
+        is a :class:`~repro.errors.ReproError`.  Leased jobs are loaded
+        as-is; their leases date from the dead coordinator's clock, so
+        callers typically follow up with :meth:`expire_leases` to
+        requeue them.
         """
         queue = cls(
             path,
@@ -210,8 +232,12 @@ class JobQueue:
             lease_timeout_s=lease_timeout_s,
             obs=obs,
         )
+        assert queue._journal is not None
         try:
-            data = json.loads(Path(path).read_text())
+            text, records = queue._journal.read()
+            if text is None:
+                raise FileNotFoundError(f"no such file: {path}")
+            data = json.loads(text)
         except OSError as exc:
             raise ReproError(f"cannot read job queue {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
@@ -231,6 +257,18 @@ class JobQueue:
         for record in data.get("jobs", ()):
             job = TuneJob.from_dict(record)
             queue._jobs[job.job_id] = job
+        for entry in records:
+            if entry.record is None:
+                queue._jobs.pop(entry.id, None)
+                continue
+            job = TuneJob.from_dict(entry.record)
+            if job.job_id != entry.id:
+                raise ReproError(
+                    f"journal {queue._journal.journal_path} line "
+                    f"{entry.line} files job {job.job_id!r} under "
+                    f"{entry.id!r}"
+                )
+            queue._jobs[entry.id] = job
         return queue
 
     # -- enqueue --------------------------------------------------------------
@@ -241,22 +279,23 @@ class JobQueue:
             if job.job_id in self._jobs:
                 return False
             self._jobs[job.job_id] = job
-            self._persist()
+            self._persist([job.job_id])
             self._gauge_depth()
             return True
 
     def add_all(self, jobs: List[TuneJob]) -> int:
         """Enqueue many jobs in one persist; returns how many were new."""
         with self._lock:
-            added = 0
+            added: List[str] = []
             for job in jobs:
-                if job.job_id not in self._jobs:
-                    self._jobs[job.job_id] = job
-                    added += 1
+                job_id = job.job_id
+                if job_id not in self._jobs:
+                    self._jobs[job_id] = job
+                    added.append(job_id)
             if added:
-                self._persist()
+                self._persist(added)
                 self._gauge_depth()
-            return added
+            return len(added)
 
     # -- lease protocol -------------------------------------------------------
 
@@ -279,7 +318,7 @@ class JobQueue:
                         job, f"lease expired (worker {job.worker!r})", now
                     )
             if expired:
-                self._persist()
+                self._persist(expired)
                 self._gauge_depth()
             return expired
 
@@ -287,30 +326,30 @@ class JobQueue:
         """Lease the highest-priority claimable job to ``worker``.
 
         Claimable = pending with its backoff gate open
-        (``not_before_s <= now``).  Ordering is ``(priority, job_id)``,
-        so hot keys drain first and ties break deterministically.
-        Returns None when nothing is claimable right now.
+        (``not_before_s <= now``).  Ordering is ``(priority, job_id)``
+        (the dict key is the job id), so hot keys drain first and ties
+        break deterministically.  Returns None when nothing is
+        claimable right now.
         """
         with self._lock:
-            best: Optional[TuneJob] = None
-            for job in self._jobs.values():
+            best: Optional[Tuple[int, str]] = None
+            for job_id, job in self._jobs.items():
                 if job.state != PENDING or job.not_before_s > now:
                     continue
-                if best is None or (
-                    (job.priority, job.job_id)
-                    < (best.priority, best.job_id)
-                ):
-                    best = job
+                rank = (job.priority, job_id)
+                if best is None or rank < best:
+                    best = rank
             if best is None:
                 return None
+            job_id = best[1]
             leased = replace(
-                best,
+                self._jobs[job_id],
                 state=LEASED,
                 worker=worker,
                 lease_deadline_s=now + self.lease_timeout_s,
             )
-            self._jobs[leased.job_id] = leased
-            self._persist()
+            self._jobs[job_id] = leased
+            self._persist([job_id])
             return leased
 
     def complete(self, job_id: str, sha256: str, now: float) -> TuneJob:
@@ -325,7 +364,7 @@ class JobQueue:
                 job, state=DONE, sha256=sha256, lease_deadline_s=0.0
             )
             self._jobs[job_id] = done
-            self._persist()
+            self._persist([job_id])
             self._gauge_depth()
             return done
 
@@ -338,7 +377,7 @@ class JobQueue:
                     f"cannot fail job {job_id!r} in state {job.state!r}"
                 )
             failed = self._fail_locked(job, reason, now)
-            self._persist()
+            self._persist([job_id])
             self._gauge_depth()
             return failed
 

@@ -37,6 +37,32 @@ class TestRawWrites:
         assert renames[0].symbol == "ManifestWriter.fake_atomic"
 
 
+class TestRawJournalAppends:
+    def test_os_open_for_write_is_flagged_in_store_and_tuning(self, tmp_path):
+        findings = findings_for(tmp_path, [
+            ("journal_bad.py", "store/journal.py"),
+            ("journal_bad.py", "tuning/journal.py"),
+        ])
+        raw = [f for f in findings if f.rule == "REPRO230"]
+        assert sorted((f.path, f.symbol) for f in raw) == [
+            ("store/journal.py", "RawJournal.append"),
+            ("store/journal.py", "RawJournal.reopen"),
+            ("tuning/journal.py", "RawJournal.append"),
+            ("tuning/journal.py", "RawJournal.reopen"),
+        ]
+        assert all("SnapshotJournal" in f.message for f in raw)
+
+    def test_fsutil_journal_and_read_only_open_pass(self, tmp_path):
+        assert findings_for(
+            tmp_path, [("journal_ok.py", "store/journal.py")]
+        ) == []
+
+    def test_fsutil_may_append(self, tmp_path):
+        assert findings_for(
+            tmp_path, [("journal_bad.py", "store/fsutil.py")]
+        ) == []
+
+
 class TestCleanCode:
     def test_atomic_sink_and_fsynced_swap_pass(self, tmp_path):
         assert findings_for(
