@@ -1,14 +1,15 @@
-"""Serving — disk-persisted plans make warm starts tuning-free.
+"""Serving — store-persisted plans make warm starts tuning-free.
 
 A serving process tunes a plan per (network, batch size) it dispatches;
-with ``PlanCache(save_dir=...)`` every tuned plan is written as a
-versioned ``PlanArtifact``. This bench runs the same overloaded serving
-workload twice against one plan directory:
+with ``configure_default_plan_cache(store_dir=...)`` every tuned plan is
+put into a content-addressed ``PlanStore`` as a versioned
+``PlanArtifact``. This bench runs the same overloaded serving workload
+twice against one store:
 
-* **cold** — empty directory: every distinct batch size is tuned (with
-  its profiling passes and feedback rounds) and persisted;
-* **warm** — a fresh cache (a restarted process) over the now-populated
-  directory: every plan is replayed from its artifact.
+* **cold** — empty store: every distinct batch size is tuned (with its
+  profiling passes and feedback rounds) and persisted;
+* **warm** — a fresh cache (a restarted process) over the reopened,
+  now-populated store: every plan is replayed from its artifact.
 
 The headline assertion is the paper-level point of plan artifacts: the
 warm run executes **zero** tuner feedback rounds — all tuning cost is
@@ -26,6 +27,7 @@ from repro.core.plan_cache import (
 from repro.eval.formatting import render_table
 from repro.obs import Observability
 from repro.serving import BatchPolicy, ServingConfig, simulate_poisson
+from repro.store.plan_store import PlanStore
 
 from conftest import run_once
 
@@ -42,8 +44,8 @@ def _rounds(obs: Observability) -> float:
     return sum(inst.value for _, inst in fam.children())
 
 
-def _serve(plan_dir) -> dict:
-    cache = configure_default_plan_cache(save_dir=plan_dir)
+def _serve(store_dir) -> dict:
+    cache = configure_default_plan_cache(store_dir=store_dir)
     obs = Observability.on()
     start = time.perf_counter()
     report = simulate_poisson(
@@ -58,21 +60,21 @@ def _serve(plan_dir) -> dict:
         "disk_hits": cache.disk_hits,
         "p50_ms": report.latency.p50_s * 1e3,
         "throughput_rps": report.throughput_rps,
-        "artifacts": len(list(plan_dir.glob("*.json"))),
+        "artifacts": len(PlanStore(store_dir)),
     }
 
 
 @pytest.fixture
-def plan_dir(tmp_path):
-    yield tmp_path / "plans"
+def store_dir(tmp_path):
+    yield tmp_path / "store"
     # Don't leak the disk-backed cache into other benchmarks.
     configure_default_plan_cache()
     clear_plan_cache()
 
 
-def test_plan_cache_persistence(benchmark, record_artifact, plan_dir):
+def test_plan_cache_persistence(benchmark, record_artifact, store_dir):
     def compute():
-        return {"cold": _serve(plan_dir), "warm": _serve(plan_dir)}
+        return {"cold": _serve(store_dir), "warm": _serve(store_dir)}
 
     results = run_once(benchmark, compute)
     cold, warm = results["cold"], results["warm"]
@@ -94,11 +96,11 @@ def test_plan_cache_persistence(benchmark, record_artifact, plan_dir):
         ),
     )
 
-    # Cold run tuned every distinct batch size and wrote an artifact each.
+    # Cold run tuned every distinct batch size and stored an artifact each.
     assert cold["misses"] > 0
     assert cold["tuner_rounds"] > 0
     assert cold["artifacts"] == cold["misses"]
-    # Warm start: every plan came from disk, not one tuner round ran,
+    # Warm start: every plan came from the store, not one tuner round ran,
     # and the served plans are the same ones (identical latency).
     assert warm["misses"] == 0
     assert warm["tuner_rounds"] == 0

@@ -47,9 +47,8 @@ from .multitenant import (
     TenantResult,
     concurrent_edgenn,
     run_concurrent,
-    serve_concurrent,
 )
-from .service import ServiceProfile, WarmExecutor, profile_service, warm_report
+from .service import ServiceProfile, profile_service, warm_report
 from .semantics import (
     BufferRole,
     classify_buffers,
@@ -103,12 +102,10 @@ __all__ = [
     "plan_allocations",
     "predict_assignment_time",
     "run_concurrent",
-    "serve_concurrent",
     "speedup",
     "profile_service",
     "split_layer",
     "total_time",
     "warm_report",
-    "WarmExecutor",
     "weights_buffer",
 ]

@@ -214,9 +214,11 @@ def corrupt_artifacts(
 
     Deterministic: files are visited in sorted order and each consumes
     one draw from the injector's artifact stream.  Corruption truncates
-    the file mid-JSON — exactly the torn write a power loss produces —
-    so the hardened ``PlanCache`` load path (checksum + decode guard)
-    must treat it as a miss.
+    the file mid-JSON — exactly the torn write a power loss produces.
+    Pointed at a :class:`~repro.store.plan_store.PlanStore`'s
+    ``objects_dir``, the store's read path (content hash + decode guard)
+    must quarantine the victim and the ``PlanCache`` above it must
+    treat the lookup as a miss.
     """
     directory = Path(directory)
     injector = FaultInjector(scenario, seed=seed, obs=obs)

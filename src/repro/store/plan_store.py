@@ -1,9 +1,11 @@
 """Content-addressed, versioned plan store: tuned plans as durable assets.
 
-``PlanCache.save_dir`` (PR 3) made tuning survive a process restart; a
-*fleet* needs more.  Tuning at scale is embarrassingly parallel work
-whose output — compiled plans — is the product (MITuna's model), so the
-store has database obligations the flat save-dir never had:
+This is :class:`~repro.core.plan_cache.PlanCache`'s only disk tier:
+the single custodian of tuned plans, whether they came from one
+``repro run --store`` or a whole ``repro tune-fleet`` catalog.  Tuning
+at scale is embarrassingly parallel work whose output — compiled plans
+— is the product (MITuna's model), so the store has database
+obligations a flat directory of artifacts would not meet:
 
 * **Torn-write immunity.** Every object write is tmp +
   :func:`os.replace`; a worker killed mid-write leaves at worst an
@@ -146,11 +148,9 @@ class PlanStore:
         self,
         root: Union[str, Path],
         *,
-        check_fingerprints: bool = True,
         obs=None,
     ) -> None:
         self.root = Path(root)
-        self._check_fingerprints = check_fingerprints
         self._obs = obs
         self._lock = threading.RLock()
         self.hits = 0
@@ -308,8 +308,6 @@ class PlanStore:
         }
 
     def _entry_is_stale(self, entry: StoreEntry) -> bool:
-        if not self._check_fingerprints:
-            return False
         current_device = device_fingerprint_for(entry.key.device)
         if (
             entry.device_fingerprint

@@ -120,6 +120,24 @@ class TestArtifactRoundTrip:
         assert loaded.to_dict() == art.to_dict()
 
 
+class TestChecksum:
+    def test_round_trip_preserves_checksum(self, tmp_path):
+        art = PlanArtifact.load(make_artifact().save(tmp_path / "a.json"))
+        again = PlanArtifact.from_json(art.to_json())
+        assert again.to_dict()["checksum"] == art.to_dict()["checksum"]
+        assert again.to_dict() == art.to_dict()
+
+    def test_checksum_covers_every_section(self, tmp_path):
+        path = make_artifact().save(tmp_path / "a.json")
+        data = json.loads(path.read_text())
+        recorded = data["checksum"]
+        assert recorded == PlanArtifact._checksum_of(data)
+        for section in ("key", "plan", "lowering", "provenance"):
+            mutated = json.loads(path.read_text())
+            mutated[section] = {"tampered": True}
+            assert PlanArtifact._checksum_of(mutated) != recorded
+
+
 class TestArtifactValidation:
     def test_wrong_schema_rejected(self):
         data = make_artifact().to_dict()

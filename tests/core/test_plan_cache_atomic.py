@@ -1,11 +1,12 @@
 """Torn-write regression: a writer killed mid-persist never corrupts
-the artifact directory (satellite of the crash-safe plan store).
+the plan store.
 
 The subprocess patches ``os.fsync`` to SIGKILL itself after the data
 reaches the ``*.tmp`` sibling but *before* ``os.replace`` — the widest
 torn-write window ``atomic_write_text`` leaves open.  The destination
 must stay untouched (absent, or byte-identical old content) and the
-only debris must be a ``*.tmp`` file that ``sweep_tmp_files`` collects.
+only debris must be a ``*.tmp`` file that ``PlanStore.sweep_tmp``
+(or ``sweep_tmp_files``) collects.
 """
 
 import os
@@ -14,12 +15,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+from repro.cli import main as repro_main
 from repro.core.plan_cache import PlanCache, PlanKey
 from repro.core.tuner import AdaptiveTuner
 from repro.fsutil import TMP_SUFFIX, atomic_write_text, sweep_tmp_files
 from repro.hardware.device import Device
 from repro.hardware.specs import JETSON_AGX_XAVIER
 from repro.nn.models import build as build_model
+from repro.store.plan_store import PlanStore
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -64,19 +67,20 @@ def run_killed_writer(body: str) -> subprocess.CompletedProcess:
 
 
 class TestKilledCachePersist:
-    def test_no_torn_artifact_and_clean_recovery(self, tmp_path):
-        save_dir = tmp_path / "plans"
+    def test_no_torn_artifact_and_clean_recovery(self, tmp_path, capsys):
+        root = tmp_path / "store"
         run_killed_writer(f"""
 from repro.core.plan_cache import PlanCache, PlanKey
 from repro.core.tuner import AdaptiveTuner
 from repro.hardware.device import Device
 from repro.hardware.specs import JETSON_AGX_XAVIER
 from repro.nn.models import build
+from repro.store.plan_store import PlanStore
 key = PlanKey(network="lenet", device="jetson-agx-xavier", batch_size=1,
               precision="fp32", use_memory_management=True,
               use_hybrid_execution=True, use_inter_kernel=True,
               use_intra_kernel=True, objective="latency")
-cache = PlanCache(save_dir={str(save_dir)!r})
+cache = PlanCache(store=PlanStore({str(root)!r}))
 cache.get_or_tune(
     key,
     lambda: AdaptiveTuner(build("lenet"),
@@ -84,21 +88,27 @@ cache.get_or_tune(
 )
 print("UNREACHABLE")
 """)
-        # The destination never appeared; only tmp debris is allowed.
-        assert list(save_dir.glob("*.json")) == []
-        debris = list(save_dir.glob(f"*{TMP_SUFFIX}"))
+        # The reopened store is consistent: no object, no entry, and the
+        # only debris is the tmp sibling of the object write.
+        store = PlanStore(root)
+        assert len(store) == 0
+        assert list(store.objects_dir.glob("*.json")) == []
+        debris = sorted(p for p in root.rglob("*") if p.is_file())
         assert debris, "the kill window should leave the tmp sibling"
+        assert all(p.name.endswith(TMP_SUFFIX) for p in debris)
 
         # Recovery: sweep the corpse, re-tune, persist for real.
-        assert sweep_tmp_files(save_dir) == debris
+        assert sorted(store.sweep_tmp()) == debris
         key = make_key()
-        cache = PlanCache(save_dir=save_dir)
+        cache = PlanCache(store=store)
         cache.get_or_tune(key, tune_lenet)
-        assert (save_dir / f"{key.slug()}.json").exists()
+        assert store.contains(key)
         assert cache.corrupt_loads == 0
+        assert repro_main(["check-plan", str(root)]) == 0
+        assert "OK" in capsys.readouterr().out
 
         # And a *fresh* process-view cache loads it with zero tuning.
-        warm = PlanCache(save_dir=save_dir)
+        warm = PlanCache(store=PlanStore(root))
         result = warm.get_or_tune(
             key, lambda: (_ for _ in ()).throw(AssertionError("re-tuned"))
         )

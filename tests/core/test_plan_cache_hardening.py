@@ -1,5 +1,5 @@
-"""Disk-load hardening: corrupt artifacts degrade to a miss + re-tune,
-checksum tampering is caught, invalidation forces re-tuning."""
+"""Store-load hardening: corrupt plan objects degrade to a miss +
+re-tune, checksum tampering is caught, invalidation forces re-tuning."""
 
 import json
 import logging
@@ -10,9 +10,11 @@ from repro.compile.artifact import PlanArtifact
 from repro.core.plan_cache import PlanCache, PlanKey
 from repro.core.tuner import AdaptiveTuner
 from repro.errors import ReproError
+from repro.fsutil import sha256_text
 from repro.hardware.device import Device
 from repro.hardware.specs import JETSON_AGX_XAVIER
 from repro.nn.models import build as build_model
+from repro.store.plan_store import PlanStore
 
 
 def make_key(**overrides) -> PlanKey:
@@ -33,11 +35,11 @@ def tune_lenet():
 
 @pytest.fixture
 def populated(tmp_path):
-    """A cache with one persisted lenet plan; returns (key, path)."""
+    """A store with one persisted lenet plan; returns (key, object path)."""
     key = make_key()
-    cache = PlanCache(save_dir=tmp_path)
-    cache.get_or_tune(key, tune_lenet)
-    return key, tmp_path / f"{key.slug()}.json"
+    store = PlanStore(tmp_path)
+    PlanCache(store=store).get_or_tune(key, tune_lenet)
+    return key, store.object_path(store.entries()[key.slug()].sha256)
 
 
 class TestCorruptLoads:
@@ -46,19 +48,19 @@ class TestCorruptLoads:
         key, path = populated
         text = path.read_text()
         path.write_text(text[: len(text) // 2])
-        cache = PlanCache(save_dir=tmp_path)
+        cache = PlanCache(store=PlanStore(tmp_path))
         with caplog.at_level(logging.WARNING):
             result = cache.get_or_tune(key, tune_lenet)
         assert result.plan is not None  # re-tuned, not crashed
         assert cache.corrupt_loads == 1
         assert cache.misses == 1
         assert cache.hits == 0
-        assert any("corrupt" in r.message for r in caplog.records)
+        assert any("quarantined" in r.message for r in caplog.records)
 
     def test_garbage_json_is_a_miss(self, populated, tmp_path):
         key, path = populated
         path.write_text("not json at all {{{")
-        cache = PlanCache(save_dir=tmp_path)
+        cache = PlanCache(store=PlanStore(tmp_path))
         sentinel_calls = []
 
         def tune():
@@ -78,7 +80,7 @@ class TestCorruptLoads:
         with pytest.raises(ReproError, match="checksum mismatch"):
             PlanArtifact.load(path)
         # The cache degrades the same tamper to a counted miss.
-        cache = PlanCache(save_dir=tmp_path)
+        cache = PlanCache(store=PlanStore(tmp_path))
         cache.get_or_tune(key, tune_lenet)
         assert cache.corrupt_loads == 1
 
@@ -87,25 +89,20 @@ class TestCorruptLoads:
         key, path = populated
         data = json.loads(path.read_text())
         del data["checksum"]  # a pre-hardening artifact
-        path.write_text(json.dumps(data))
-        cache = PlanCache(save_dir=tmp_path)
+        text = json.dumps(data) + "\n"
+        store = PlanStore(tmp_path)
+        sha = sha256_text(text)
+        store.object_path(sha).write_text(text)
+        store.register(key, sha)
+        cache = PlanCache(store=PlanStore(tmp_path))
         cache.get_or_tune(key, tune_lenet)
         assert cache.disk_hits == 1
         assert cache.corrupt_loads == 0
 
-    def test_key_mismatch_still_raises(self, populated, tmp_path):
-        # A *valid* artifact under the wrong key is a deployment error,
-        # not corruption; it must keep raising loudly.
-        key, path = populated
-        other = make_key(objective="energy")
-        (tmp_path / f"{other.slug()}.json").write_text(path.read_text())
-        with pytest.raises(ReproError, match="different key"):
-            PlanCache(save_dir=tmp_path).get_or_tune(other, tune_lenet)
-
     def test_clear_resets_corrupt_counter(self, populated, tmp_path):
         key, path = populated
         path.write_text("{")
-        cache = PlanCache(save_dir=tmp_path)
+        cache = PlanCache(store=PlanStore(tmp_path))
         cache.get_or_tune(key, tune_lenet)
         assert cache.corrupt_loads == 1
         cache.clear()
@@ -124,7 +121,7 @@ class TestInvalidate:
 
     def test_invalidate_keeps_disk_by_default(self, populated, tmp_path):
         key, path = populated
-        cache = PlanCache(save_dir=tmp_path)
+        cache = PlanCache(store=PlanStore(tmp_path))
         cache.get_or_tune(key, tune_lenet)
         cache.invalidate(key)
         assert path.exists()
@@ -135,29 +132,10 @@ class TestInvalidate:
     def test_invalidate_remove_disk_forces_retune(self, populated,
                                                   tmp_path):
         key, path = populated
-        cache = PlanCache(save_dir=tmp_path)
+        cache = PlanCache(store=PlanStore(tmp_path))
         cache.get_or_tune(key, tune_lenet)
         assert cache.invalidate(key, remove_disk=True)
         assert not path.exists()
         misses_before = cache.misses
         cache.get_or_tune(key, tune_lenet)
         assert cache.misses == misses_before + 1
-
-
-class TestChecksumDeterminism:
-    def test_round_trip_preserves_checksum(self, populated):
-        _, path = populated
-        art = PlanArtifact.load(path)
-        again = PlanArtifact.from_json(art.to_json())
-        assert again.to_dict()["checksum"] == art.to_dict()["checksum"]
-        assert again.to_dict() == art.to_dict()
-
-    def test_checksum_covers_every_section(self, populated):
-        _, path = populated
-        data = json.loads(path.read_text())
-        recorded = data["checksum"]
-        assert recorded == PlanArtifact._checksum_of(data)
-        for section in ("key", "plan", "lowering", "provenance"):
-            mutated = json.loads(path.read_text())
-            mutated[section] = {"tampered": True}
-            assert PlanArtifact._checksum_of(mutated) != recorded

@@ -12,7 +12,11 @@ from repro.core.tuner import AdaptiveTuner
 from repro.hardware.device import Device
 from repro.hardware.specs import JETSON_AGX_XAVIER
 from repro.nn.models import build as build_model
-from repro.store.plan_store import PlanStore
+from repro.store.fingerprint import (
+    cost_model_fingerprint,
+    device_fingerprint_for,
+)
+from repro.store.plan_store import QUARANTINE_DIR, PlanStore
 
 
 def make_key(**overrides) -> PlanKey:
@@ -76,34 +80,70 @@ class TestReadThrough:
         # The re-tuned plan healed the store.
         assert store.contains(key)
 
-    def test_persist_feeds_both_sinks(self, store, tmp_path):
-        save_dir = tmp_path / "plans"
+
+
+class TestStaleEntry:
+    def test_stale_store_entry_retunes_through_cache(self, store):
         key = make_key()
-        cache = PlanCache(save_dir=save_dir, store=store)
-        cache.get_or_tune(key, tune_lenet)
-        assert store.contains(key)
-        assert (save_dir / f"{key.slug()}.json").exists()
+        PlanCache(store=store).get_or_tune(key, tune_lenet)
+        # Doctor the durable entry as if an older cost model built it.
+        slug = key.slug()
+        entry = store._entries[slug]
+        store._entries[slug] = type(entry)(
+            key=entry.key, sha256=entry.sha256, size=entry.size,
+            device_fingerprint=entry.device_fingerprint,
+            cost_model_fingerprint="e" * 64,
+        )
+        store._persist([slug])
+        stale = PlanStore(store.root)
+        assert stale.stale_entries() == [slug]
+
+        calls = []
+
+        def tune():
+            calls.append(1)
+            return tune_lenet()
+
+        cache = PlanCache(store=stale)
+        cache.get_or_tune(key, tune)
+        assert calls == [1]
+        assert cache.misses == 1 and cache.disk_hits == 0
+        assert stale.stale_misses == 1
+        # The fresh tune rewrote the entry under the current build.
+        rewritten = PlanStore(store.root).entries()[slug]
+        assert rewritten.cost_model_fingerprint == cost_model_fingerprint()
+        assert rewritten.device_fingerprint == device_fingerprint_for(
+            key.device
+        )
+
+        warm = PlanCache(store=PlanStore(store.root))
+        result = warm.get_or_tune(key, fail_tune)
+        assert result.rounds == []
+        assert warm.disk_hits == 1 and warm.misses == 0
 
 
 class TestInvalidate:
-    def test_remove_disk_sweeps_store_and_siblings(self, store, tmp_path):
-        save_dir = tmp_path / "plans"
+    def test_remove_disk_sweeps_store_and_siblings(self, store):
         key = make_key()
-        cache = PlanCache(save_dir=save_dir, store=store)
+        cache = PlanCache(store=store)
         cache.get_or_tune(key, tune_lenet)
-        # Plant quarantine-style siblings next to the save_dir slot.
-        slug = key.slug()
-        (save_dir / f"{slug}.json.corrupt").write_text("x")
-        (save_dir / f"{slug}.json.tmp").write_text("y")
+        # Corrupt the object so a reload quarantines it, then re-tune:
+        # the slug now has a live object and a quarantined sibling.
+        (obj,) = store.objects_dir.glob("*.json")
+        obj.write_text(obj.read_text()[:50])
+        cache.invalidate(key)
+        cache.get_or_tune(key, tune_lenet)
+        assert store.quarantined == 1
+        live = store.object_path(store.entries()[key.slug()].sha256)
 
         removed = cache.invalidate(key, remove_disk=True)
         assert "memory" in removed
         names = [r for r in removed if r != "memory"]
-        assert any(name.endswith(f"{slug}.json") for name in names)
-        assert any(".corrupt" in name for name in names)
-        assert any(name.endswith(".tmp") for name in names)
+        assert str(live) in names
+        assert any(QUARANTINE_DIR in name for name in names)
         assert not store.contains(key)
-        assert list(save_dir.glob(f"{slug}*")) == []
+        assert list(store.objects_dir.glob("*.json")) == []
+        assert list(store.quarantine_dir.glob("*")) == []
 
     def test_invalidate_without_remove_disk_keeps_files(self, store):
         key = make_key()

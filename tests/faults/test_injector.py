@@ -17,6 +17,7 @@ from repro.faults import (
 )
 from repro.hardware.specs import JETSON_AGX_XAVIER
 from repro.obs import Observability
+from repro.store.plan_store import PlanStore
 
 
 def _drain(injector, n=64):
@@ -107,20 +108,20 @@ class TestObsMirror:
 
 
 class TestCorruptArtifacts:
-    def _write_artifact(self, directory):
+    def _store_artifact(self, root):
         engine = EdgeNN("lenet", JETSON_AGX_XAVIER, EdgeNNConfig())
         result = engine.tune()
         key = PlanKey.from_config(
             "lenet", JETSON_AGX_XAVIER.name, engine.config
         )
-        path = directory / f"{key.slug()}.json"
-        PlanArtifact.from_tuning(key, result).save(path)
-        return key, path
+        store = PlanStore(root)
+        entry = store.put(PlanArtifact.from_tuning(key, result))
+        return key, store.object_path(entry.sha256)
 
     def test_truncates_files_and_cache_survives(self, tmp_path):
-        key, path = self._write_artifact(tmp_path)
+        key, path = self._store_artifact(tmp_path)
         victims = corrupt_artifacts(
-            tmp_path, scenario=CORRUPT_ARTIFACTS, seed=0
+            path.parent, scenario=CORRUPT_ARTIFACTS, seed=0
         )
         assert victims == [path]
         # The file is now torn JSON...
@@ -130,19 +131,21 @@ class TestCorruptArtifacts:
         except json.JSONDecodeError:
             torn = True
         assert torn
-        # ...and the hardened cache treats it as a miss, not a crash.
-        cache = PlanCache(save_dir=tmp_path)
+        # ...and the store-backed cache treats it as a miss, not a crash.
+        store = PlanStore(tmp_path)
+        cache = PlanCache(store=store)
         sentinel = object()
         out = cache.get_or_tune(key, lambda: sentinel)
         assert out is sentinel
         assert cache.corrupt_loads == 1
         assert cache.misses == 1
+        assert len(list(store.quarantine_dir.glob("*.json"))) == 1
 
     def test_zero_probability_leaves_files_alone(self, tmp_path):
-        _, path = self._write_artifact(tmp_path)
+        _, path = self._store_artifact(tmp_path)
         before = path.read_text()
         victims = corrupt_artifacts(
-            tmp_path, scenario=FaultScenario(name="quiet"), seed=0
+            path.parent, scenario=FaultScenario(name="quiet"), seed=0
         )
         assert victims == []
         assert path.read_text() == before

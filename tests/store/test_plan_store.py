@@ -148,19 +148,6 @@ class TestStaleness:
         assert store.sweep_stale() == [slug]
         assert not store.contains(artifact.key)
 
-    def test_check_fingerprints_off_serves_stale(self, tmp_path):
-        store = PlanStore(tmp_path / "store", check_fingerprints=False)
-        artifact = make_artifact()
-        store.put(artifact)
-        slug = artifact.key.slug()
-        entry = store._entries[slug]
-        store._entries[slug] = type(entry)(
-            key=entry.key, sha256=entry.sha256, size=entry.size,
-            device_fingerprint="f" * 64,
-            cost_model_fingerprint="e" * 64,
-        )
-        assert store.get(artifact.key) is not None
-
 
 class TestMaintenance:
     def test_digest_is_stable_across_reopen(self, store):
