@@ -1,20 +1,25 @@
-"""Observability overhead guard — disabled instrumentation must be free.
+"""Observability overhead guards.
 
-Every hot path in the engine, executor, and serving loop is gated on
-``obs.enabled`` against shared no-op singletons.  Wall-clock A/B timing
-of a simulated run is too noisy for a 2% assertion in CI, so the guard
-is analytic: time the no-op operations themselves, count how many of
-them one run actually performs (by running once with tracing *on* and
-counting what was recorded), and assert the product stays under 2% of
-the run's real cost.  A second test pins the structural invariant the
-bound relies on: a default-constructed engine really does share the
-no-op singletons.
+Disabled instrumentation must be free: every hot path in the engine and
+executor is gated on ``obs.enabled`` against shared no-op singletons.
+Wall-clock A/B timing of a simulated run is too noisy for a 2%
+assertion in CI, so that guard is analytic: time the no-op operations
+themselves, count how many of them one run actually performs (by
+running once with tracing *on* and counting what was recorded), and
+assert the product stays under 2% of the run's real cost.
+
+Enabled serving telemetry is guarded structurally: metrics, batch spans
+and timelines are derived after the event loop, so an observed serve
+makes no telemetry calls inside it.  The measured end-to-end overhead
+of recording is written to ``BENCH_timeline_overhead.json`` as a
+reported number.
 """
 
 import timeit
 
 from repro.core.engine import EdgeNN
 from repro.core.plan_cache import PlanCache
+from repro.hardware.specs import JETSON_AGX_XAVIER
 from repro.obs import NOOP_OBS, Observability
 from repro.obs.metrics import NULL_REGISTRY
 from repro.obs.provenance import NULL_PROVENANCE
@@ -156,89 +161,107 @@ def test_disabled_timeline_overhead_under_2_percent():
     )
 
 
-def test_enabled_timeline_recording_overhead_under_2_percent():
-    """Recording *enabled* must also stay under 2% on the serve loop.
+def _count_calls(monkeypatch, classes):
+    """Wrap every public method (and ``__init__``) of ``classes`` to
+    count calls, split by whether ``EventEngine.run`` is on the stack."""
+    from repro.sim.engine import EventEngine
 
-    The recorder is append-only on the hot path: every hook is one
-    C-level buffer append, and all windowing is deferred to the
-    one-shot vectorized :meth:`finish` pass that runs *after* the event
-    loop ends (artifact materialization, like report building).  The
-    guard therefore charges the hot path analytically — each hook's
-    actual invocation count (``timeline_op_counts``) at its own
-    measured per-append rate — and bounds finish() separately below.
+    counts = {"inside": 0, "outside": 0}
+    inside = [False]
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            counts["inside" if inside[0] else "outside"] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for cls in classes:
+        for name, attr in list(vars(cls).items()):
+            public = name == "__init__" or not name.startswith("_")
+            if public and callable(attr):
+                monkeypatch.setattr(cls, name, counted(attr))
+    run = EventEngine.run
+
+    def engine_run(self, **callbacks):
+        inside[0] = True
+        try:
+            return run(self, **callbacks)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(EventEngine, "run", engine_run)
+    return counts
+
+
+def test_enabled_timeline_recording_overhead_under_2_percent(monkeypatch):
+    """Recording *enabled* must add nothing to the serve loop itself.
+
+    Metrics, batch spans and the timeline are derived from the request
+    table and the batch log after ``EventEngine.run`` returns, so the
+    guard is structural — stricter than any percentage budget: an
+    observed, timeline-recording serve makes zero recorder, metric or
+    tracer calls from inside the event loop.  The one-shot
+    :meth:`~repro.obs.timeline.TimelineRecorder.finish` pass is bounded
+    separately against the run, fed with the run's real events.
     """
+    from repro.obs.metrics import (
+        Counter, Gauge, Histogram, MetricFamily, MetricsRegistry,
+    )
+    from repro.obs.spans import SpanTracer
     from repro.obs.timeline import TimelineRecorder
     from repro.serving import BatchPolicy, ServingConfig
-    from repro.serving.simulator import ServingSimulator, poisson_tenant
+    from repro.serving.simulator import (
+        ServiceTimeModel, ServingSimulator, poisson_tenant,
+    )
 
-    def serve(window_s):
+    def serve(window_s, obs=None, model=None):
         sim = ServingSimulator(
             None, [poisson_tenant("lenet", 2000.0, 2.0, seed=3)],
             ServingConfig(policy=BatchPolicy(max_batch_size=8),
                           timeline_window_s=window_s),
+            obs=obs, service_model=model,
         )
         return sim, sim.run()
 
     serve(0.0)  # warm the plan cache so timing is the serve loop
     run_s = min(timeit.repeat(lambda: serve(0.0), repeat=5, number=1))
 
-    sim, report = serve(0.25)
-    counts = sim.timeline_op_counts
-    assert sim.timeline_ops > 0 and sim.timeline is not None
+    # Service-time lookups memoize per model; warm one observed model
+    # first so the counted run's lookups are all memo hits and every
+    # call left inside the loop would be per-event telemetry.
+    obs = Observability.on()
+    model = ServiceTimeModel(JETSON_AGX_XAVIER, obs=obs)
+    serve(0.25, obs, model)
+    recorders = []
+    finish = TimelineRecorder.finish
 
-    # Per-append cost of each hook the serve loop calls, measured on a
-    # live recorder with representative arguments (batch latencies of
-    # the run's batch size, the real busy tuple shape).
-    rec = TimelineRecorder(0.25, source="bench")
-    rate_s = {
-        "offered": _best_of(lambda: rec.record_offered(0.5)),
-        "shed": _best_of(lambda: rec.record_shed(0.5)),
-        "rejected": _best_of(lambda: rec.record_rejected(0.5)),
-        "failed": _best_of(lambda: rec.record_failed(0.5, 2)),
-        "timed_out": _best_of(lambda: rec.record_timed_out(0.5, 2)),
-        # A list, not a tuple: the simulators pass freshly built lists,
-        # and record_served's tuple() is a copy for lists but free for
-        # tuples — measure the rate the call sites actually pay.
-        "served": _best_of(
-            lambda: rec.record_served(0.5, [0.004] * 8)
-        ),
-        "batch": _best_of(lambda: rec.record_batch(
-            0.5, 0.6, 8, busy=(("cpu", 0.01), ("gpu", 0.02)),
-            energy_j=0.1,
-        )),
-    }
-    assert set(counts) <= set(rate_s), counts
+    def capture(recorder, **kwargs):
+        recorders.append(recorder)
+        return finish(recorder, **kwargs)
 
-    hot_path_overhead = sum(
-        counts[name] * rate_s[name] for name in counts
+    monkeypatch.setattr(TimelineRecorder, "finish", capture)
+    counts = _count_calls(
+        monkeypatch,
+        (TimelineRecorder, MetricsRegistry, MetricFamily, Counter, Gauge,
+         Histogram, SpanTracer),
     )
-    assert hot_path_overhead < 0.02 * run_s, (
-        f"timeline recording could add "
-        f"{hot_path_overhead / run_s:.2%} to a "
-        f"{run_s * 1e3:.2f} ms serve "
-        f"({sim.timeline_ops} recorder calls: {counts}); budget is 2%"
+    sim, report = serve(0.25, obs, model)
+    assert sim.timeline is not None and report.served > 0
+    assert counts["inside"] == 0, (
+        f"{counts['inside']} recorder/metric/tracer calls from inside "
+        f"the event loop — telemetry is back on the per-event path"
     )
+    assert counts["outside"] > 0
 
     # finish() runs once per simulation, after the loop.  Bound it
     # relative to the run so an accidental per-event Python loop (an
     # order of magnitude over the vectorized pass) fails loudly.  It
-    # reads its buffers without consuming them, so time a probe loaded
-    # with the run's real event volume.
-    offered = report.offered
-    batch_count = int(report.extra["batch_count"])
-    probe = TimelineRecorder(0.25, source="bench")
-    for i in range(offered):
-        probe.record_offered(2.0 * i / max(offered, 1))
-    for i in range(batch_count):
-        start = 2.0 * i / max(batch_count, 1)
-        probe.record_batch(
-            start, start + 0.004, 8,
-            busy=(("cpu", 0.001), ("gpu", 0.003)), energy_j=0.02,
-        )
-        probe.record_served(start + 0.004, (0.004,) * 8)
+    # reads its buffers without consuming them, so time it on the
+    # recorder the run itself filled.
+    (recorder,) = recorders
     finish_s = min(timeit.repeat(
-        lambda: probe.finish(
-            horizon_s=2.0, makespan_s=2.0,
+        lambda: finish(
+            recorder, horizon_s=2.0, makespan_s=report.makespan_s,
             capacity={"cpu": 1.0, "gpu": 1.0},
         ),
         repeat=3, number=1,
@@ -251,28 +274,72 @@ def test_enabled_timeline_recording_overhead_under_2_percent():
 
     write_bench_json("timeline_overhead", {
         "run_s": run_s,
-        "recorder_ops": sim.timeline_ops,
-        "op_counts": counts,
-        "rate_ns": {k: v * 1e9 for k, v in rate_s.items()},
+        "loop_telemetry_calls": counts["inside"],
+        "post_run_telemetry_calls": counts["outside"],
         "finish_us": finish_s * 1e6,
-        "hot_path_overhead_pct": 100.0 * hot_path_overhead / run_s,
-        "budget_pct": 2.0,
+        "finish_budget_pct": 15.0,
+        "measured_overhead_pct": _measured_overheads(),
     })
 
 
-def test_cluster_timeline_makes_no_per_request_python_calls():
-    """The fleet loop feeds arrivals to the recorder as ONE bulk numpy
-    call, so enabled recording must make far fewer Python-level hook
-    calls than there are requests — the structural property that keeps
-    fleet-scale telemetry off the vectorized hot path."""
+def _measured_overheads():
+    """End-to-end wall-time overhead of timeline recording and of
+    ``Observability.on()`` over a plain serve, in percent (3 simulated
+    seconds of lenet traffic, best of 5 runs each, warm plan cache).
+    Reported, not gated: host noise makes a percentage threshold on a
+    sub-second run flaky."""
+    from repro.serving import BatchPolicy, ServingConfig
+    from repro.serving.simulator import ServingSimulator, poisson_tenant
+
+    def best_of(rate, window_s, observed):
+        def serve():
+            ServingSimulator(
+                None, [poisson_tenant("lenet", rate, 3.0, seed=3)],
+                ServingConfig(policy=BatchPolicy(max_batch_size=32),
+                              timeline_window_s=window_s),
+                obs=Observability.on() if observed else None,
+            ).run()
+
+        serve()
+        return min(timeit.repeat(serve, repeat=5, number=1))
+
+    out = {}
+    for rate in (2000.0, 20000.0):
+        plain = best_of(rate, 0.0, False)
+        out[f"{rate:.0f}_rps"] = {
+            "plain_s": plain,
+            "timeline_pct": 100.0 * (best_of(rate, 0.1, False) / plain - 1),
+            "obs_pct": 100.0 * (best_of(rate, 0.0, True) / plain - 1),
+            "obs_and_timeline_pct": 100.0 * (
+                best_of(rate, 0.1, True) / plain - 1
+            ),
+        }
+    return out
+
+
+def test_cluster_timeline_makes_no_per_request_python_calls(monkeypatch):
+    """The fleet loop logs per-batch and per-shed events and hands them
+    to the recorder as whole arrays after the run, so enabled recording
+    must make far fewer recorder calls than there are requests — the
+    structural property that keeps fleet-scale telemetry off the
+    per-request path."""
     from repro.cluster import (
         ClusterConfig,
         ClusterSimulator,
         ClusterTenant,
         DeviceMix,
     )
+    from repro.obs.timeline import TimelineRecorder
     from repro.serving.batcher import BatchPolicy
     from repro.workloads.arrivals import PoissonArrivals
+
+    calls = {}
+    for name, attr in list(vars(TimelineRecorder).items()):
+        if name.startswith("record_"):
+            def wrapper(*args, _fn=attr, _name=name, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(TimelineRecorder, name, wrapper)
 
     config = ClusterConfig(
         policy=BatchPolicy(max_batch_size=8, max_wait_s=0.0,
@@ -287,17 +354,17 @@ def test_cluster_timeline_makes_no_per_request_python_calls():
     assert report.offered > 1000
     assert sim.timeline is not None
     assert sum(sim.timeline.series["offered"]) == report.offered
-    # The whole arrival stream goes in as ONE bulk call; everything
-    # else is per-batch / per-completion.  A regression back to
+    # The whole arrival stream goes in as ONE call; everything else is
+    # at most per-batch / per-completion.  A regression back to
     # per-arrival record_offered() shows up immediately in both.
-    assert sim.timeline_op_counts["offered"] == 1
-    batch_calls = sim.timeline_op_counts["batch"]
-    assert sim.timeline_ops <= 1 + 3 * batch_calls + report.shed + (
+    assert calls.get("record_offered") == 1
+    batch_count = sum(r.batches for r in report.replicas)
+    total = sum(calls.values())
+    assert total <= 1 + 3 * batch_count + report.shed + (
         report.timed_out + report.failed
     ), (
-        f"{sim.timeline_ops} recorder calls for {report.offered} "
-        f"requests ({sim.timeline_op_counts}) — telemetry is back on "
-        f"the per-request path"
+        f"{total} recorder calls for {report.offered} requests "
+        f"({calls}) — telemetry is back on the per-request path"
     )
 
 

@@ -43,6 +43,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..core.engine import EdgeNNConfig
 from ..core.plan_cache import default_plan_cache
 from ..errors import ReproError
@@ -120,6 +122,56 @@ class ClusterConfig:
     timeline_window_s: float = 0.0
 
 
+class _TimelineLog:
+    """Per-batch and per-shed events of one fleet run with a timeline
+    on, handed to a :class:`TimelineRecorder` as whole arrays after the
+    run — the loop itself never calls the recorder."""
+
+    __slots__ = ("shed", "outcomes", "latencies", "batches")
+
+    def __init__(self) -> None:
+        self.shed: List[float] = []
+        #: (instant, served, late, failed, abandoned) per completion or
+        #: per dispatch that abandoned queued requests.
+        self.outcomes: List[Tuple[float, int, int, int, int]] = []
+        #: served latencies in completion order.
+        self.latencies: List[float] = []
+        #: (start, end, size, energy_j, busy_s, device class) per batch.
+        self.batches: List[Tuple[float, float, int, float, float, str]] = []
+
+    def completed(
+        self, now: float, size: int, failed: bool, served: List[float]
+    ) -> None:
+        if failed:
+            self.outcomes.append((now, 0, 0, size, 0))
+        else:
+            self.latencies.extend(served)
+            self.outcomes.append((now, len(served), size - len(served), 0, 0))
+
+    def hand_over(self, tl: TimelineRecorder, arrivals: np.ndarray) -> None:
+        tl.record_offered(arrivals)
+        tl.record_shed(self.shed)
+        if self.outcomes:
+            t, served, late, failed, abandoned = (
+                np.asarray(col) for col in zip(*self.outcomes)
+            )
+            tl.record_served(np.repeat(t, served), self.latencies)
+            tl.record_timed_out(np.repeat(t, late), late=True)
+            tl.record_failed(np.repeat(t, failed))
+            tl.record_timed_out(np.repeat(t, abandoned))
+        if self.batches:
+            start, end, size, energy, busy_s, device = (
+                np.asarray(col) for col in zip(*self.batches)
+            )
+            tl.record_batch(
+                start, end, size, energy_j=energy,
+                busy=[
+                    (name, np.where(device == name, busy_s, 0.0))
+                    for name in sorted(set(device.tolist()))
+                ],
+            )
+
+
 class ClusterSimulator:
     """Discrete-event loop over a fleet of replicas and a router tier."""
 
@@ -177,15 +229,11 @@ class ClusterSimulator:
         #: windowed telemetry of the last run (None unless
         #: ``config.timeline_window_s`` > 0).
         self.timeline: Optional[TimelineArtifact] = None
-        #: recorder calls the last run made, total and by hook
-        #: name (feeds the analytic overhead bench).
-        self.timeline_ops: int = 0
-        self.timeline_op_counts: Dict[str, int] = {}
         #: fleet batch-slice trace of the last run (None unless the
         #: observability bundle is enabled) — feeds the Perfetto export.
         self.trace: Optional[Trace] = None
-        # Recorder shared between run() and _try_dispatch().
-        self._tl: Optional[TimelineRecorder] = None
+        # Timeline event log shared between run() and _try_dispatch().
+        self._log: Optional[_TimelineLog] = None
 
     def _horizon_s(self) -> float:
         return max(
@@ -249,9 +297,9 @@ class ClusterSimulator:
                 continue
             batch.append(arrival)
         replica.version += 1
-        tl = self._tl
-        if tl is not None and abandoned:
-            tl.record_timed_out(now, abandoned)
+        log = self._log
+        if log is not None and abandoned:
+            log.outcomes.append((now, 0, 0, 0, abandoned))
         if not batch:
             return
         size = len(batch)
@@ -262,12 +310,11 @@ class ClusterSimulator:
         replica.energy_j += svc.energy_j
         replica.batches += 1
         pool.batch_histogram[size] = pool.batch_histogram.get(size, 0) + 1
-        if tl is not None:
-            tl.record_batch(
-                now, end, size,
-                busy=((base_device_name(replica.spec.name), svc.total_s),),
-                energy_j=svc.energy_j,
-            )
+        if log is not None:
+            log.batches.append((
+                now, end, size, svc.energy_j, svc.total_s,
+                base_device_name(replica.spec.name),
+            ))
         if self.trace is not None:
             self.trace.add(TraceEvent(
                 resource=replica.name,
@@ -295,22 +342,9 @@ class ClusterSimulator:
         cfg = self._config
         cache = default_plan_cache()
         cache_before = cache.stats()
-        tl: Optional[TimelineRecorder] = None
-        if cfg.timeline_window_s > 0.0:
-            tl = TimelineRecorder(
-                cfg.timeline_window_s,
-                source=f"cluster:{cfg.router}",
-                meta={
-                    "seed": str(cfg.seed),
-                    "tenants": ",".join(
-                        sorted(t.tenant_name for t in self._tenants)
-                    ),
-                },
-            )
-        self._tl = tl
+        log = _TimelineLog() if cfg.timeline_window_s > 0.0 else None
+        self._log = log
         self.timeline = None
-        self.timeline_ops = 0
-        self.timeline_op_counts = {}
         self.trace = Trace() if self._obs.enabled else None
         # The shared event core merges all tenants' arrival epochs
         # (concatenate + stable argsort, same dedup'd path serving
@@ -320,10 +354,6 @@ class ClusterSimulator:
         )
         heap = EventHeap()
         engine = EventEngine(schedule, heap)
-        if tl is not None:
-            # The whole arrival stream is known up front — one bulk
-            # call instead of one recorder call per request.
-            tl.record_offered_bulk(schedule.times)
         pools_of_tenant: List[Pool] = [
             self._pools[t.network] for t in self._tenants
         ]
@@ -375,8 +405,8 @@ class ClusterSimulator:
                 # chosen backend cannot queue — same accounting as
                 # the single-device service's bounded queues.
                 pool.shed += 1
-                if tl is not None:
-                    tl.record_shed(now)
+                if log is not None:
+                    log.shed.append(now)
                 return
             replica.queue.append(now)
             replica.version += 1
@@ -389,7 +419,7 @@ class ClusterSimulator:
             replica, batch, failed = payload
             pool = self._pools[replica.pool_name]
             deadline = pool.policy.deadline_s
-            lat_before = len(pool.latencies) if tl is not None else 0
+            lat_before = len(pool.latencies) if log is not None else 0
             for arrival in batch:
                 if failed:
                     pool.failed += 1
@@ -407,16 +437,10 @@ class ClusterSimulator:
                     pool.served += 1
                     replica.served += 1
                     pool.latencies.append(now - arrival)
-            if tl is not None:
-                if failed:
-                    tl.record_failed(now, len(batch))
-                else:
-                    served_now = pool.latencies[lat_before:]
-                    if served_now:
-                        tl.record_served(now, served_now)
-                    late_n = len(batch) - len(served_now)
-                    if late_n:
-                        tl.record_timed_out(now, late_n, late=True)
+            if log is not None:
+                log.completed(
+                    now, len(batch), failed, pool.latencies[lat_before:]
+                )
             replica.version += 1
             self._try_dispatch(replica, pool, now, heap)
             self._retire_if_drained(replica, now)
@@ -436,9 +460,18 @@ class ClusterSimulator:
             [r.busy_until for p in self.fleet.pools for r in p.replicas]
             or [0.0]
         ))
-        if tl is not None:
-            self.timeline_op_counts = tl.op_counts
-            self.timeline_ops = tl.ops
+        if log is not None:
+            tl = TimelineRecorder(
+                cfg.timeline_window_s,
+                source=f"cluster:{cfg.router}",
+                meta={
+                    "seed": str(cfg.seed),
+                    "tenants": ",".join(
+                        sorted(t.tenant_name for t in self._tenants)
+                    ),
+                },
+            )
+            log.hand_over(tl, schedule.times)
             self.timeline = tl.finish(
                 horizon_s=horizon,
                 makespan_s=makespan,
@@ -447,7 +480,7 @@ class ClusterSimulator:
                     for name, count in self.fleet.device_counts().items()
                 },
             )
-            self._tl = None
+            self._log = None
         cache_delta = cache.stats().delta(cache_before)
         return self._build_report(
             makespan, horizon, peak, pool_peak, cache_delta

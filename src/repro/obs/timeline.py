@@ -5,15 +5,12 @@ that degrades steadily from one that loses a whole thermal window — the
 numbers are identical.  This module makes the *time axis* a first-class
 observability surface:
 
-* :class:`TimelineRecorder` — append-only event buffers the simulators
-  feed from their event loops.  Every ``record_*`` hook is an O(1)
-  list append (no window arithmetic, no per-request objects on the hot
-  path; arrival streams known up front go in via one
-  :meth:`~TimelineRecorder.record_offered_bulk` numpy call).  All
-  binning happens once, vectorized, in
+* :class:`TimelineRecorder` — takes each outcome kind as whole numpy
+  arrays, which the simulators derive from their request and batch
+  records after the event loop ends, so recording adds nothing to the
+  loops.  All binning happens once, vectorized, in
   :meth:`TimelineRecorder.finish` — including the queue-depth curve,
-  which is *derived* from admit/leave events instead of being recorded
-  per event, so telemetry adds zero depth hooks to the loops.
+  which is *derived* from admit/leave events.
 * a deterministic fixed-bucket latency sketch per window (bisect into a
   shared bound ladder + overflow count and exact max), from which the
   per-window p50/p95/p99 series and SLO exceedance fractions derive.
@@ -36,21 +33,17 @@ bans wall-clock reads in this file.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import pathlib
 from bisect import bisect_left
-from array import array
 from dataclasses import dataclass, field
 from typing import (
-    Callable,
     Dict,
     List,
     Mapping,
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 import numpy as np
@@ -119,46 +112,38 @@ def _widx(times: np.ndarray, window_s: float, n: int) -> np.ndarray:
     return np.minimum(idx, n - 1)
 
 
-def _counted(
-    simple: "array", pairs: Sequence[Tuple[float, int]]
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Merge the unit-count fast-path buffer (a typed ``array('d')``,
-    viewed zero-copy) with the (t, n) slow path into parallel
-    (times, counts) arrays."""
-    t = np.frombuffer(simple, dtype=np.float64)
-    k = np.ones(t.shape[0], dtype=np.float64)
-    if pairs:
-        pt, pk = zip(*pairs)
-        t = np.concatenate([t, np.asarray(pt, dtype=np.float64)])
-        k = np.concatenate([k, np.asarray(pk, dtype=np.float64)])
-    return t, k
+def _times(values) -> np.ndarray:
+    """A flat float64 array from an array-like (or a scalar instant)."""
+    return np.asarray(values, dtype=np.float64).reshape(-1)
+
+
+def _cat(chunks: Sequence[np.ndarray]) -> np.ndarray:
+    return np.concatenate(chunks) if chunks else np.empty(0)
+
+
+#: Instant-only event kinds the recorder buffers (one array per call).
+_EVENT_KINDS = (
+    "offered", "shed", "rejected", "failed", "failed_queued",
+    "abandoned", "late",
+)
 
 
 class TimelineRecorder:
-    """Append-only telemetry buffers + one vectorized windowing pass.
+    """Outcome arrays in, one vectorized windowing pass out.
 
-    Every ``record_*`` hook is an O(1) list append — no window
-    arithmetic, no per-request objects, nothing but tuple construction
-    on the simulators' hot paths.  Binning, the latency sketch, busy /
-    energy span spreading, and the queue-depth curve are all computed
-    once in :meth:`finish` with numpy.  Queue depth is *derived* there
-    from admit/leave events (offered/shed/rejected in, batch dispatch /
-    queue abandonment out), so the loops carry no dedicated depth hook.
-
-    ``ops`` counts every hook invocation (derived from the buffer
-    lengths, so the hooks pay nothing for it) — the analytic overhead
-    guard in ``bench_obs_overhead.py`` charges each op at a measured
-    per-append rate plus the one-shot measured :meth:`finish` cost.
+    The simulators derive each outcome kind from their request and
+    batch records after the event loop ends and hand it over as whole
+    arrays — one element per request (per batch for
+    :meth:`record_batch`).  Binning, the latency sketch, busy / energy
+    span spreading, and the queue-depth curve are all computed once in
+    :meth:`finish` with numpy.  Queue depth is *derived* there from
+    admit/leave events (offered in; shed, rejected, dispatched batches,
+    queue abandonment and fail-fast failures out).
     """
 
     __slots__ = (
         "window_s", "source", "meta", "_bounds", "_nb",
-        "_offered_bulk", "_offered_t", "_offered_tn",
-        "_shed_bulk", "_shed_t", "_shed_tn",
-        "_rejected_t", "_rejected_tn",
-        "_failed", "_timeouts",
-        "_served_t", "_served_n", "_lat",
-        "_batches",
+        "_events", "_served", "_batches", "_busy",
     )
 
     def __init__(
@@ -183,129 +168,75 @@ class TimelineRecorder:
         self.meta: Dict[str, str] = dict(meta or {})
         self._bounds = ordered
         self._nb = len(ordered)
-        # Unit-count events split into a typed-buffer fast path (zero-
-        # copy ``np.frombuffer`` at finish) and a rare (t, n) slow path.
-        self._offered_bulk: List[np.ndarray] = []
-        self._offered_t = array("d")
-        self._offered_tn: List[Tuple[float, int]] = []
-        self._shed_bulk: List[np.ndarray] = []
-        self._shed_t = array("d")
-        self._shed_tn: List[Tuple[float, int]] = []
-        self._rejected_t = array("d")
-        self._rejected_tn: List[Tuple[float, int]] = []
-        #: (t, n, from_queue) — from_queue=True means the requests left
-        #: the queue at t (fail-fast), so they count as depth leaves.
-        self._failed: List[Tuple[float, int, bool]] = []
-        #: (t, n, late) — late=True marks completed-but-late responses
-        #: (already out of the queue); late=False is queue abandonment.
-        self._timeouts: List[Tuple[float, int, bool]] = []
-        self._served_t = array("d")
-        self._served_n = array("q")
-        #: one latency chunk per record_served() call — flattened at
-        #: finish(); a ~50ns list append beats array.extend() ~10x on
-        #: the hot path.
-        self._lat: List[Tuple[float, ...]] = []
-        #: (start_s, end_s, size, energy_j, busy) per dispatched batch;
-        #: ``busy`` stays the caller's ((device_class, busy_s), ...)
-        #: tuple — it is unpacked per device class at finish(), not on
-        #: the hot path.
-        self._batches: List[
-            Tuple[float, float, int, float, Tuple]
-        ] = []
-
-    @property
-    def op_counts(self) -> Dict[str, int]:
-        """Public hook invocations so far by hook name, derived from
-        the buffer lengths (every hook appends to exactly one buffer).
-        Feeds the per-op analytic charging in the overhead guard."""
-        return {
-            "offered": len(self._offered_t) + len(self._offered_tn)
-            + len(self._offered_bulk),
-            "shed": len(self._shed_t) + len(self._shed_tn)
-            + len(self._shed_bulk),
-            "rejected": len(self._rejected_t) + len(self._rejected_tn),
-            "failed": len(self._failed),
-            "timed_out": len(self._timeouts),
-            "served": len(self._served_t),
-            "batch": len(self._batches),
+        self._events: Dict[str, List[np.ndarray]] = {
+            kind: [] for kind in _EVENT_KINDS
         }
+        #: (completion instants, latencies) per record_served() call.
+        self._served: List[Tuple[np.ndarray, np.ndarray]] = []
+        #: (start, end, size, energy) columns per record_batch() call.
+        self._batches: List[Tuple[np.ndarray, ...]] = []
+        #: device class -> (start, end, busy seconds) columns.
+        self._busy: Dict[str, List[Tuple[np.ndarray, ...]]] = {}
 
-    @property
-    def ops(self) -> int:
-        """Total public hook invocations so far."""
-        return sum(self.op_counts.values())
+    # -- recording hooks (one array per outcome kind) ---------------------
 
-    # -- recording hooks (one append per event-loop site) -----------------
+    def record_offered(self, times_s) -> None:
+        """Arrivals, one instant per request."""
+        self._events["offered"].append(_times(times_s))
 
-    def record_offered(self, t: float, n: int = 1) -> None:
-        if n == 1:
-            self._offered_t.append(t)
-        else:
-            self._offered_tn.append((t, n))
+    def record_shed(self, times_s) -> None:
+        self._events["shed"].append(_times(times_s))
 
-    def record_offered_bulk(self, times_s: Sequence[float]) -> None:
-        """Record a whole arrival stream in one call (the cluster loop
-        knows every arrival time up front as a numpy array)."""
-        arr = np.asarray(times_s, dtype=np.float64)
-        if arr.size:
-            self._offered_bulk.append(arr)
+    def record_rejected(self, times_s) -> None:
+        self._events["rejected"].append(_times(times_s))
 
-    def record_shed(self, t: float, n: int = 1) -> None:
-        if n == 1:
-            self._shed_t.append(t)
-        else:
-            self._shed_tn.append((t, n))
-
-    def record_shed_bulk(self, times_s: Sequence[float]) -> None:
-        """Record one shed request per timestamp in a single call (the
-        engine's bulk-admission path sheds whole index spans at once)."""
-        arr = np.asarray(times_s, dtype=np.float64)
-        if arr.size:
-            self._shed_bulk.append(arr)
-
-    def record_rejected(self, t: float, n: int = 1) -> None:
-        if n == 1:
-            self._rejected_t.append(t)
-        else:
-            self._rejected_tn.append((t, n))
-
-    def record_failed(
-        self, t: float, n: int = 1, *, from_queue: bool = False
-    ) -> None:
+    def record_failed(self, times_s, *, from_queue: bool = False) -> None:
         """Failed requests; ``from_queue=True`` marks requests failed
         straight out of the queue (fail-fast) rather than after a
-        dispatched batch — they count as queue leaves at ``t``."""
-        self._failed.append((t, n, from_queue))
+        dispatched batch — they count as queue leaves at their instant."""
+        kind = "failed_queued" if from_queue else "failed"
+        self._events[kind].append(_times(times_s))
 
-    def record_timed_out(
-        self, t: float, n: int = 1, *, late: bool = False
-    ) -> None:
+    def record_timed_out(self, times_s, *, late: bool = False) -> None:
         """Deadline misses; ``late=True`` marks completed-but-late
         responses (a subset of ``timed_out``, mirroring the reports);
-        ``late=False`` is queue abandonment (a depth leave at ``t``)."""
-        self._timeouts.append((t, n, late))
+        ``late=False`` is queue abandonment (a depth leave)."""
+        self._events["late" if late else "abandoned"].append(
+            _times(times_s)
+        )
 
-    def record_served(
-        self, t: float, latencies_s: Sequence[float]
-    ) -> None:
-        """Bulk-record one completion's served latencies (seconds)."""
-        self._lat.append(tuple(latencies_s))
-        self._served_t.append(t)
-        self._served_n.append(len(latencies_s))
+    def record_served(self, times_s, latencies_s) -> None:
+        """Served requests: completion instants and latencies (seconds)
+        in completion order — the windowed latency sums add in this
+        order.  A scalar instant applies to every latency."""
+        lat = _times(latencies_s)
+        self._served.append(
+            (np.broadcast_to(_times(times_s), lat.shape), lat)
+        )
 
     def record_batch(
         self,
-        start_s: float,
-        end_s: float,
-        size: int,
+        start_s,
+        end_s,
+        size,
         *,
-        busy: Tuple = (),
-        energy_j: float = 0.0,
+        busy: Sequence[Tuple[str, object]] = (),
+        energy_j=0.0,
     ) -> None:
-        """One dispatched batch.  ``busy`` is ``((device_class,
-        busy_seconds), ...)``; busy time and energy are spread over
-        [start, end) proportionally to window overlap at finish()."""
-        self._batches.append((start_s, end_s, size, energy_j, busy))
+        """Dispatched batches, one element per batch.  ``busy`` is
+        ``((device_class, busy_seconds), ...)``; busy seconds and energy
+        are spread over [start, end) proportionally to window overlap at
+        finish()."""
+        start = _times(start_s)
+        end, sizes, energy = (
+            np.broadcast_to(_times(v), start.shape)
+            for v in (end_s, size, energy_j)
+        )
+        self._batches.append((start, end, sizes, energy))
+        for name, busy_s in busy:
+            self._busy.setdefault(name, []).append(
+                (start, end, np.broadcast_to(_times(busy_s), start.shape))
+            )
 
     # -- finalization -----------------------------------------------------
 
@@ -359,67 +290,29 @@ class TimelineRecorder:
         """
         w = self.window_s
         nb = self._nb
-
-        off_t, off_n = _counted(self._offered_t, self._offered_tn)
-        if self._offered_bulk:
-            bulk = np.concatenate(self._offered_bulk)
-            off_t = np.concatenate([bulk, off_t])
-            off_n = np.concatenate(
-                [np.ones(bulk.shape[0], dtype=np.float64), off_n]
-            )
-        shed_t, shed_n = _counted(self._shed_t, self._shed_tn)
-        if self._shed_bulk:
-            sbulk = np.concatenate(self._shed_bulk)
-            shed_t = np.concatenate([sbulk, shed_t])
-            shed_n = np.concatenate(
-                [np.ones(sbulk.shape[0], dtype=np.float64), shed_n]
-            )
-        rej_t, rej_n = _counted(self._rejected_t, self._rejected_tn)
-        if self._failed:
-            f_t_l, f_n_l, f_q_l = zip(*self._failed)
-            f_t = np.asarray(f_t_l, dtype=np.float64)
-            f_n = np.asarray(f_n_l, dtype=np.float64)
-            f_q = np.asarray(f_q_l, dtype=bool)
-        else:
-            f_t = np.empty(0)
-            f_n = np.empty(0)
-            f_q = np.empty(0, dtype=bool)
-        if self._timeouts:
-            to_t_l, to_n_l, to_late_l = zip(*self._timeouts)
-            to_t = np.asarray(to_t_l, dtype=np.float64)
-            to_n = np.asarray(to_n_l, dtype=np.float64)
-            to_late = np.asarray(to_late_l, dtype=bool)
-        else:
-            to_t = np.empty(0)
-            to_n = np.empty(0)
-            to_late = np.empty(0, dtype=bool)
-        s_t = np.frombuffer(self._served_t, dtype=np.float64)
-        s_n = np.frombuffer(self._served_n, dtype=np.int64)
-        busy_spans: Dict[str, List[Tuple[float, float, float]]] = {}
-        if self._batches:
-            b_st_l, b_en_l, b_sz_l, b_ej_l, b_busy_l = zip(*self._batches)
-            b_st = np.asarray(b_st_l, dtype=np.float64)
-            b_en = np.asarray(b_en_l, dtype=np.float64)
-            b_sz = np.asarray(b_sz_l, dtype=np.float64)
-            b_ej = np.asarray(b_ej_l, dtype=np.float64)
-            for start, end, spans in zip(b_st_l, b_en_l, b_busy_l):
-                for name, busy_s in spans:
-                    busy_spans.setdefault(name, []).append(
-                        (start, end, busy_s)
-                    )
-        else:
-            b_st = np.empty(0)
-            b_en = np.empty(0)
-            b_sz = np.empty(0)
-            b_ej = np.empty(0)
+        ev = {kind: _cat(chunks) for kind, chunks in self._events.items()}
+        s_t = _cat([t for t, _ in self._served])
+        lat = _cat([v for _, v in self._served])
+        b_st, b_en, b_sz, b_ej = (
+            _cat([cols[i] for cols in self._batches]) for i in range(4)
+        )
 
         # One fused pass over every timestamped stream: validate the
         # time range, bin once, and bincount all count series together
         # (numpy's fixed per-call dispatch cost dominates at telemetry
         # volumes, so fewer/larger array ops is the whole game here).
-        streams = (off_t, shed_t, rej_t, f_t, to_t, s_t, b_st)
-        lengths = [arr.size for arr in streams]
-        all_t = np.concatenate(streams)
+        streams = {
+            "offered": ev["offered"],
+            "shed": ev["shed"],
+            "rejected": ev["rejected"],
+            "failed": np.concatenate([ev["failed"], ev["failed_queued"]]),
+            "timed_out": np.concatenate([ev["abandoned"], ev["late"]]),
+            "late": ev["late"],
+            "served": s_t,
+            "batches": b_st,
+        }
+        lengths = [arr.size for arr in streams.values()]
+        all_t = np.concatenate(list(streams.values()))
         t_max = 0.0
         if all_t.size:
             lo = float(all_t.min())
@@ -438,37 +331,19 @@ class TimelineRecorder:
         )
 
         widx_all = _widx(all_t, w, n)
-        all_w = np.concatenate(
-            [off_n, shed_n, rej_n, f_n, to_n, s_n,
-             np.ones(b_st.size, dtype=np.float64)]
-        )
         sid = np.repeat(np.arange(len(streams)), lengths)
         fused = np.bincount(
-            sid * n + widx_all, weights=all_w,
-            minlength=len(streams) * n,
-        ).reshape(len(streams), n).astype(np.int64)
-        offered, shed, rejected, failed, timed_out, served, batches = fused
-        offsets = np.cumsum([0] + lengths)
-        to_widx = widx_all[offsets[4]:offsets[5]]
-        s_widx = widx_all[offsets[5]:offsets[6]]
-        b_widx = widx_all[offsets[6]:offsets[7]]
-        late = np.zeros(n, dtype=np.int64)
-        if to_t.size:
-            late = np.bincount(
-                to_widx[to_late], weights=to_n[to_late], minlength=n
-            ).astype(np.int64)
+            sid * n + widx_all, minlength=len(streams) * n
+        ).reshape(len(streams), n)
+        series: Dict[str, List[float]] = {
+            key: row.tolist() for key, row in zip(streams, fused)
+        }
+        late, served, batches = fused[5], fused[6], fused[7]
+        offsets = np.cumsum([0, *lengths])
+        s_widx = widx_all[offsets[6]:offsets[7]]
+        b_widx = widx_all[offsets[7]:offsets[8]]
 
-        series: Dict[str, List[float]] = {}
-        series["offered"] = offered.tolist()
-        series["served"] = served.tolist()
-        series["shed"] = shed.tolist()
-        series["timed_out"] = timed_out.tolist()
-        series["late"] = late.tolist()
-        series["failed"] = failed.tolist()
-        series["rejected"] = rejected.tolist()
-
-        # Batch series, binned at dispatch time.
-        series["batches"] = batches.tolist()
+        # Batch size series, binned at dispatch time.
         size_sum = np.zeros(n)
         size_max = np.zeros(n)
         if b_st.size:
@@ -485,11 +360,15 @@ class TimelineRecorder:
         # Queue depth, derived from admit/leave deltas: arrivals enter
         # (minus shed/rejected, which never admit), dispatched batches,
         # queue abandons, and fail-fast failures leave.
-        delta_t = np.concatenate([
-            off_t, shed_t, rej_t, f_t[f_q], to_t[~to_late], b_st,
-        ])
+        leaves = [
+            ev[kind]
+            for kind in ("shed", "rejected", "failed_queued", "abandoned")
+        ]
+        delta_t = np.concatenate([ev["offered"], *leaves, b_st])
         delta_v = np.concatenate([
-            off_n, -shed_n, -rej_n, -f_n[f_q], -to_n[~to_late], -b_sz,
+            np.ones(ev["offered"].size),
+            -np.ones(sum(arr.size for arr in leaves)),
+            -b_sz,
         ])
         depth_mean = np.zeros(n)
         depth_max = np.zeros(n)
@@ -521,23 +400,19 @@ class TimelineRecorder:
         ).tolist()
 
         # Latency sketch: one flat histogram over (window, bucket).
-        lat = np.fromiter(
-            itertools.chain.from_iterable(self._lat), dtype=np.float64
-        )
         lat_counts_2d = np.zeros((n, nb + 1), dtype=np.int64)
         lat_sum = np.zeros(n)
         lat_max = np.zeros(n)
         if lat.size:
-            lw = np.repeat(s_widx, s_n)
             bidx = np.searchsorted(
                 np.asarray(self._bounds), lat, side="left"
             )
             bidx = np.minimum(bidx, nb)
             lat_counts_2d = np.bincount(
-                lw * (nb + 1) + bidx, minlength=n * (nb + 1)
+                s_widx * (nb + 1) + bidx, minlength=n * (nb + 1)
             ).reshape(n, nb + 1)
-            lat_sum = np.bincount(lw, weights=lat, minlength=n)
-            np.maximum.at(lat_max, lw, lat)
+            lat_sum = np.bincount(s_widx, weights=lat, minlength=n)
+            np.maximum.at(lat_max, s_widx, lat)
         series["latency_mean_ms"] = [
             float(s / c * 1e3) if c else 0.0
             for s, c in zip(lat_sum, served)
@@ -567,18 +442,17 @@ class TimelineRecorder:
         lanes: Dict[str, np.ndarray] = {
             name: np.zeros(n) for name in caps
         }
-        for name in sorted(busy_spans):
-            cols = list(zip(*busy_spans[name]))
+        for name in sorted(self._busy):
+            starts, ends, busy_s = (
+                _cat([cols[i] for cols in self._busy[name]])
+                for i in range(3)
+            )
+            if not starts.size:
+                continue
             lane = lanes.get(name)
             if lane is None:
                 lane = lanes[name] = np.zeros(n)
-            self._spread(
-                lane,
-                np.asarray(cols[0], dtype=np.float64),
-                np.asarray(cols[1], dtype=np.float64),
-                np.asarray(cols[2], dtype=np.float64),
-                n,
-            )
+            self._spread(lane, starts, ends, busy_s, n)
         for name in sorted(lanes):
             cap = max(caps.get(name, 1.0), 1e-12)
             utilization[name] = [
@@ -605,6 +479,23 @@ class TimelineRecorder:
 
 
 # -- the serialized artifact --------------------------------------------------
+
+
+def _numbers(values: object) -> List[float]:
+    """``values`` if it is a JSON array of numbers (TypeError if not)."""
+    if not isinstance(values, list) or not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool)
+        for v in values
+    ):
+        raise TypeError(f"expected an array of numbers, got {values!r}")
+    return list(values)
+
+
+def _number_arrays(doc: object) -> Dict[str, List[float]]:
+    """``doc`` if it is a JSON object of number arrays (TypeError if not)."""
+    if not isinstance(doc, dict):
+        raise TypeError(f"expected an object of number arrays, got {doc!r}")
+    return {str(k): _numbers(v) for k, v in doc.items()}
 
 
 @dataclass
@@ -756,24 +647,62 @@ class TimelineArtifact:
                 f"unsupported timeline artifact version {version!r} "
                 f"(this build reads version {TIMELINE_SCHEMA_VERSION})"
             )
-        try:
-            return cls(
-                source=str(doc["source"]),
-                window_s=float(doc["window_s"]),          # type: ignore[arg-type]
-                windows=int(doc["windows"]),              # type: ignore[arg-type]
-                horizon_s=float(doc["horizon_s"]),        # type: ignore[arg-type]
-                makespan_s=float(doc["makespan_s"]),      # type: ignore[arg-type]
-                meta=dict(doc.get("meta", {})),           # type: ignore[arg-type]
-                capacity=dict(doc.get("capacity", {})),   # type: ignore[arg-type]
-                series=dict(doc["series"]),               # type: ignore[arg-type]
-                utilization=dict(doc.get("utilization", {})),  # type: ignore[arg-type]
-                latency_bounds_ms=list(doc["latency_bounds_ms"]),  # type: ignore[arg-type]
-                latency_counts=[list(r) for r in doc["latency_counts"]],  # type: ignore[union-attr]
-            )
-        except KeyError as exc:
+
+        def get(name: str, convert, *default):
+            if name not in doc and not default:
+                raise ReproError(
+                    f"timeline artifact is missing field {name!r}"
+                )
+            try:
+                return convert(doc.get(name, *default))
+            except (TypeError, ValueError) as exc:
+                raise ReproError(
+                    f"timeline artifact field {name!r} is malformed: {exc}"
+                ) from None
+
+        artifact = cls(
+            source=get("source", str),
+            window_s=get("window_s", float),
+            windows=get("windows", int),
+            horizon_s=get("horizon_s", float),
+            makespan_s=get("makespan_s", float),
+            meta=get("meta", dict, {}),
+            capacity=get("capacity", dict, {}),
+            series=get("series", _number_arrays),
+            utilization=get("utilization", _number_arrays, {}),
+            latency_bounds_ms=get("latency_bounds_ms", _numbers),
+            latency_counts=get(
+                "latency_counts", lambda rows: [_numbers(r) for r in rows]
+            ),
+        )
+        windows = artifact.windows
+        if windows < 1 or artifact.window_s <= 0.0:
             raise ReproError(
-                f"timeline artifact is missing field {exc}"
-            ) from exc
+                f"timeline artifact needs windows >= 1 and window_s > 0, "
+                f"got {windows} x {artifact.window_s}"
+            )
+        lengths = {
+            f"{name}.{k}": len(v)
+            for name, lanes in (
+                ("series", artifact.series),
+                ("utilization", artifact.utilization),
+            )
+            for k, v in lanes.items()
+        }
+        lengths["latency_counts"] = len(artifact.latency_counts)
+        bad = {k: n for k, n in sorted(lengths.items()) if n != windows}
+        if bad:
+            raise ReproError(
+                f"timeline artifact has {windows} windows but these "
+                f"fields have other lengths: {bad}"
+            )
+        width = len(artifact.latency_bounds_ms) + 1
+        if any(len(row) != width for row in artifact.latency_counts):
+            raise ReproError(
+                f"timeline artifact latency_counts rows must have "
+                f"{width} buckets (bounds + overflow)"
+            )
+        return artifact
 
     @classmethod
     def load(cls, path) -> "TimelineArtifact":
@@ -1329,7 +1258,7 @@ def _trailing_mean(
     return total / weight if weight > 0.0 else 0.0
 
 
-#: Callable registry of derived metrics (documentation + CLI listing).
+#: Derived metric help texts (documentation + CLI listing).
 METRIC_HELP: Dict[str, str] = {
     "goodput_rps": "served requests per second",
     "throughput_rps": "served + late responses per second",
@@ -1345,9 +1274,6 @@ METRIC_HELP: Dict[str, str] = {
     "p99_ms": "windowed latency p99 (sketch)",
     "energy_j": "energy drawn in the window",
 }
-
-_MetricFn = Callable[[TimelineArtifact], List[float]]
-_Number = Union[int, float]
 
 
 __all__ = [

@@ -27,6 +27,14 @@ timeout abandonment, retry-with-backoff plus a circuit breaker around
 execution, zero-copy demotion, and latency-drift-triggered re-tuning
 against the throttled device (see ``docs/robustness.md``).
 
+The loop keeps one per-event record: the engine's
+:class:`~repro.sim.engine.RequestTable` (arrival, dispatch, finish,
+outcome and batch id per request) plus the per-batch log
+:attr:`ServingSimulator.batches`.  Metrics, batch spans and the
+windowed timeline are derived from them in one vectorized pass after
+the run, so observability adds no work to the event callbacks and does
+not keep busy-device arrival spans off the bulk-admission path.
+
 Everything is deterministic: same tenants, seeds, policy, and fault
 scenario produce an identical
 :class:`~repro.serving.report.ServingReport` (compare digests).
@@ -77,6 +85,7 @@ from ..sim.engine import (
 )
 from ..sim.engine import (
     FAILED as _ST_FAILED,
+    REJECTED as _ST_REJECTED,
     SERVED as _ST_SERVED,
     SHED as _ST_SHED,
     TIMED_OUT as _ST_TIMED_OUT,
@@ -96,6 +105,13 @@ from .scheduler import WeightedFairScheduler
 #: Serving-level timeline resource: the whole integrated device, which
 #: serves one batch at a time (non-preemptive kernels).
 DEVICE = "device"
+
+#: ``repro_serving_requests_total`` outcome label per terminal status.
+_OUTCOMES = (
+    (_ST_SERVED, "served"), (_ST_SHED, "shed"),
+    (_ST_TIMED_OUT, "timed_out"), (_ST_FAILED, "failed"),
+    (_ST_REJECTED, "rejected"),
+)
 
 # Event kinds, in processing order at equal virtual instants: arrivals
 # join the queue before a same-instant completion triggers dispatch, and
@@ -181,12 +197,19 @@ class BatchServiceTime:
 
 @dataclass(frozen=True)
 class BatchRecord:
-    """One dispatched batch (for the serving trace / debugging)."""
+    """One batch executed on the device — the serving loop's per-batch
+    log, from which batch spans, batch metrics and the timeline's batch,
+    busy and energy series are derived after the run."""
 
     tenant: str
     size: int
     start_s: float
     end_s: float
+    cpu_busy_s: float = 0.0
+    gpu_busy_s: float = 0.0
+    energy_j: float = 0.0
+    #: "cold" for a tenant's first batch under ``cold_start``.
+    mode: str = "warm"
 
 
 class ServiceTimeModel:
@@ -366,8 +389,8 @@ class ServingSimulator:
         #: :attr:`requests` materializes legacy objects lazily from it.
         self._table: Optional[RequestTable] = None
         self._requests: Optional[List[Request]] = None
-        #: batch records of the last :meth:`run`, kept for the unified
-        #: Chrome-trace export (:mod:`repro.obs.export`).
+        #: batch log of the last :meth:`run`, in dispatch (= completion)
+        #: order; ``RequestTable.batch`` indexes into it.
         self.batches: List[BatchRecord] = []
         #: fault machinery of the last run (None without a scenario).
         self.injector: Optional[FaultInjector] = None
@@ -376,10 +399,6 @@ class ServingSimulator:
         #: windowed telemetry of the last run (None unless
         #: ``config.timeline_window_s`` > 0).
         self.timeline: Optional[TimelineArtifact] = None
-        #: recorder calls the last run made, total and by hook
-        #: name (feeds the analytic overhead bench).
-        self.timeline_ops: int = 0
-        self.timeline_op_counts: Dict[str, int] = {}
         #: SLO evaluation of the last run (None unless ``config.slos``).
         self.slo_report: Optional[SloReport] = None
 
@@ -429,29 +448,6 @@ class ServingSimulator:
     def _run(self) -> ServingReport:
         cfg = self._config
         obs = self._obs
-        if obs.enabled:
-            requests_total = obs.metrics.counter(
-                "repro_serving_requests_total",
-                "Requests by tenant and outcome",
-                labels=("tenant", "outcome"),
-            )
-            batches_total = obs.metrics.counter(
-                "repro_serving_batches_total",
-                "Batches dispatched per tenant", labels=("tenant",),
-            )
-            batch_size_hist = obs.metrics.histogram(
-                "repro_serving_batch_size",
-                "Dispatched batch sizes", buckets=SIZE_BUCKETS,
-            )
-            latency_hist = obs.metrics.histogram(
-                "repro_serving_request_latency_seconds",
-                "End-to-end served-request latency",
-                labels=("tenant",), buckets=DEFAULT_BUCKETS,
-            )
-            depth_gauge = obs.metrics.gauge(
-                "repro_serving_queue_depth",
-                "Admitted requests waiting across all tenant queues",
-            )
         # One merged arrival epoch (whole numpy arrays per tenant) and
         # a struct-of-arrays request table sized for it up front.
         schedule = ArrivalSchedule(
@@ -472,19 +468,6 @@ class ServingSimulator:
             {t.tenant_name: t.weight for t in self._tenants}
         )
         timeline = Timeline((DEVICE, CPU, GPU, COPY))
-
-        # Windowed telemetry recorder (None: every hook is one identity
-        # check on the hot path, covered by the obs-overhead guard).
-        tl: Optional[TimelineRecorder] = None
-        if cfg.timeline_window_s > 0.0:
-            tl = TimelineRecorder(
-                cfg.timeline_window_s,
-                source=f"serve:{self._spec.name}",
-                meta={
-                    "seed": str(cfg.seed),
-                    "tenants": ",".join(sorted(names)),
-                },
-            )
 
         # -- fault machinery (None when no scenario: zero-cost checks) --------
         faults = cfg.faults
@@ -515,6 +498,8 @@ class ServingSimulator:
         demoted_windows: set = set()
         retries = 0
         exhaustions = 0
+        #: per tenant, retries that preceded a successful launch.
+        launch_retries: Dict[str, int] = {n: 0 for n in names}
 
         heap = EventHeap()
         engine = EventEngine(schedule, heap)
@@ -525,13 +510,9 @@ class ServingSimulator:
         in_flight: Optional[Tuple[int, np.ndarray, bool]] = None
         warmed: Dict[str, bool] = {n: not cfg.cold_start for n in names}
         armed_timers: Dict[str, float] = {}
-        late_counts: Dict[str, int] = {n: 0 for n in names}
-        failed_counts: Dict[str, int] = {n: 0 for n in names}
         dispatch_seq = 0
 
         device_busy = False
-        cpu_busy_total = 0.0
-        gpu_busy_total = 0.0
 
         # Time-weighted queue-depth accounting.
         tracker = DepthTracker()
@@ -579,14 +560,6 @@ class ServingSimulator:
                 if not expired:
                     continue
                 tracker.remove(expired)
-                if tl is not None:
-                    tl.record_timed_out(now, expired)
-                if obs.enabled:
-                    for _ in range(expired):
-                        requests_total.labels(
-                            tenant=queue.name, outcome="timed_out"
-                        ).inc()
-                    depth_gauge.set(tracker.depth)
                 if has_followup[k]:
                     for _ in range(expired):
                         followup(k, now)
@@ -699,12 +672,7 @@ class ServingSimulator:
                 )
                 if not fails:
                     breaker.record_success(now)
-                    if attempt > 0 and obs.enabled:
-                        obs.metrics.counter(
-                            "repro_resilience_retries_total",
-                            "Hybrid-kernel launch retries",
-                            labels=("tenant",),
-                        ).labels(tenant=tenant).inc(attempt)
+                    launch_retries[tenant] += attempt
                     retries += attempt
                     return svc, delay, False
                 if attempt < retry.max_attempts - 1:
@@ -723,7 +691,7 @@ class ServingSimulator:
             return svc, delay, False
 
         def maybe_dispatch(now: float) -> None:
-            nonlocal device_busy, cpu_busy_total, gpu_busy_total
+            nonlocal device_busy
             nonlocal dispatch_seq, in_flight
             while not device_busy:
                 expire_queues(now)
@@ -765,26 +733,16 @@ class ServingSimulator:
                     # lost before consuming any device time.
                     table.status[rows] = _ST_FAILED
                     table.finish_s[rows] = now
-                    failed_counts[chosen] += size
-                    if obs.enabled:
-                        for _ in range(size):
-                            requests_total.labels(
-                                tenant=chosen, outcome="failed"
-                            ).inc()
                     if has_followup[owner]:
                         for _ in range(size):
                             followup(owner, now)
                     tenant_hist[chosen][size] = (
                         tenant_hist[chosen].get(size, 0) + 1
                     )
-                    if tl is not None:
-                        tl.record_failed(now, size, from_queue=True)
                     continue
                 device_busy = True
                 total = delay + svc.total_s
                 scheduler.charge(chosen, total)
-                cpu_busy_total += svc.cpu_busy_s
-                gpu_busy_total += svc.gpu_busy_s
                 end = now + total
                 label = f"{chosen}:batch(n={size})"
                 timeline.schedule(DEVICE, total, label, not_before=now)
@@ -796,28 +754,11 @@ class ServingSimulator:
                     GPU, svc.gpu_busy_s, label,
                     not_before=now + delay, category="kernel",
                 )
-                batches.append(
-                    BatchRecord(
-                        tenant=chosen, size=size, start_s=now, end_s=end
-                    )
-                )
-                if tl is not None:
-                    tl.record_batch(
-                        now, end, size,
-                        busy=(
-                            ("cpu", svc.cpu_busy_s),
-                            ("gpu", svc.gpu_busy_s),
-                        ),
-                        energy_j=svc.energy_j,
-                    )
-                if obs.enabled:
-                    obs.tracer.record(
-                        label, now, end, category="batch",
-                        tenant=chosen, size=size, mode=mode,
-                    )
-                    batches_total.labels(tenant=chosen).inc()
-                    batch_size_hist.observe(size)
-                    depth_gauge.set(tracker.depth)
+                table.batch[rows] = len(batches)
+                batches.append(BatchRecord(
+                    chosen, size, now, end, svc.cpu_busy_s,
+                    svc.gpu_busy_s, svc.energy_j, mode,
+                ))
                 tenant_hist[chosen][size] = (
                     tenant_hist[chosen].get(size, 0) + 1
                 )
@@ -831,10 +772,7 @@ class ServingSimulator:
             if faults is not None:
                 note_windows(now)
             queue = iqueues[owner]
-            name = queue.name
             idx = table.append(now, owner)
-            if tl is not None:
-                tl.record_offered(now)
             if faults is not None and injector.payload_corrupt(
                 now, request_id=idx
             ):
@@ -843,30 +781,16 @@ class ServingSimulator:
                     # payload at the door: reject, don't queue.
                     queue.reject(idx)
                     table.finish_s[idx] = now
-                    if tl is not None:
-                        tl.record_rejected(now)
-                    if obs.enabled:
-                        requests_total.labels(
-                            tenant=name, outcome="rejected"
-                        ).inc()
                     followup(owner, now)
                     maybe_dispatch(now)
                     return
                 table.corrupt[idx] = True
             if queue.offer(idx, now):
                 tracker.admit()
-                if obs.enabled:
-                    depth_gauge.set(tracker.depth)
             else:
                 # Shed: the client sees an immediate rejection; a
                 # closed-loop client thinks, then retries.
                 table.finish_s[idx] = now
-                if tl is not None:
-                    tl.record_shed(now)
-                if obs.enabled:
-                    requests_total.labels(
-                        tenant=name, outcome="shed"
-                    ).inc()
                 followup(owner, now)
             maybe_dispatch(now)
 
@@ -874,13 +798,11 @@ class ServingSimulator:
             """Bulk admission: a whole busy-device arrival span at once.
 
             Only reachable when the device is busy, no faults are
-            active, per-request metrics are off, and every tenant is
-            open loop — conditions under which the scalar path reduces
-            to admit-or-shed plus depth accounting, all vectorizable.
+            active, and every tenant is open loop — conditions under
+            which the scalar path reduces to admit-or-shed plus depth
+            accounting, all vectorizable.
             """
             start = table.append_bulk(times, owners)
-            if tl is not None:
-                tl.record_offered_bulk(times)
             total = len(times)
             if len(iqueues) == 1:
                 # Single tenant: the span is one FIFO fill — slice
@@ -897,8 +819,6 @@ class ServingSimulator:
                         times[take_n:]
                     )
                     queue.shed += total - take_n
-                    if tl is not None:
-                        tl.record_shed_bulk(times[take_n:])
                 tracker.advance_span(times, take_n)
                 return
             admitted = np.zeros(total, dtype=np.int64)
@@ -921,8 +841,6 @@ class ServingSimulator:
                     table.status[shed_rows] = _ST_SHED
                     table.finish_s[shed_rows] = times[over]
                     queue.shed += len(over)
-                    if tl is not None:
-                        tl.record_shed_bulk(times[over])
             tracker.advance_bulk(times, admitted)
 
         def on_event(now: float, kind: int, payload: object) -> None:
@@ -933,69 +851,21 @@ class ServingSimulator:
             if kind == _COMPLETION:
                 owner, rows, batch_failed = in_flight
                 in_flight = None
-                name = names[owner]
-                n = len(rows)
                 table.finish_s[rows] = now
                 if batch_failed:
                     table.status[rows] = _ST_FAILED
-                    failed_counts[name] += n
-                    lats: Optional[List[float]] = None
-                    late_n = 0
-                    if obs.enabled:
-                        for _ in range(n):
-                            requests_total.labels(
-                                tenant=name, outcome="failed"
-                            ).inc()
                 else:
+                    table.status[rows] = _ST_SERVED
                     queue = iqueues[owner]
                     if queue.policy.deadline_s is not None:
                         # Completed, but past deadline: the client
                         # already gave up — late, useless responses.
-                        late_mask = now > table.deadline_s[rows] + _EPS
-                        late_n = int(late_mask.sum())
-                    else:
-                        late_n = 0
-                    if late_n:
-                        served_rows = rows[~late_mask]
-                        table.status[rows[late_mask]] = _ST_TIMED_OUT
-                        queue.timed_out += late_n
-                        late_counts[name] += late_n
-                    else:
-                        served_rows = rows
-                    table.status[served_rows] = _ST_SERVED
-                    lats = None
-                    if tl is not None:
-                        lats = (
-                            now - table.arrival_s[served_rows]
-                        ).tolist()
-                    if obs.enabled:
-                        late_list = (
-                            late_mask.tolist() if late_n else [False] * n
-                        )
-                        arrivals = table.arrival_s[rows].tolist()
-                        for i in range(n):
-                            if late_list[i]:
-                                requests_total.labels(
-                                    tenant=name, outcome="timed_out"
-                                ).inc()
-                            else:
-                                requests_total.labels(
-                                    tenant=name, outcome="served"
-                                ).inc()
-                                latency_hist.labels(tenant=name).observe(
-                                    now - arrivals[i]
-                                )
+                        late = rows[now > table.deadline_s[rows] + _EPS]
+                        table.status[late] = _ST_TIMED_OUT
+                        queue.timed_out += len(late)
                 if has_followup[owner]:
-                    for _ in range(n):
+                    for _ in range(len(rows)):
                         followup(owner, now)
-                if tl is not None and n:
-                    if batch_failed:
-                        tl.record_failed(now, n)
-                    else:
-                        if lats:
-                            tl.record_served(now, lats)
-                        if late_n:
-                            tl.record_timed_out(now, late_n, late=True)
                 device_busy = False
                 maybe_dispatch(now)
             else:  # _TIMER
@@ -1005,13 +875,9 @@ class ServingSimulator:
 
         # The bulk path is only sound when busy-span arrivals are
         # unobservable one-by-one: no fault injection (per-arrival RNG
-        # draws), no per-request metrics, and fully open-loop tenants
-        # (no completion-driven follow-up arrivals).
-        open_loop = all(
-            type(t.arrival).next_after is ArrivalProcess.next_after
-            for t in self._tenants
-        )
-        use_bulk = faults is None and not obs.enabled and open_loop
+        # draws) and fully open-loop tenants (no completion-driven
+        # follow-up arrivals).  Telemetry is derived after the run.
+        use_bulk = faults is None and not any(has_followup)
         engine.run(
             on_arrival=on_arrival,
             on_event=on_event,
@@ -1023,19 +889,11 @@ class ServingSimulator:
         self._requests = None
         self.batches = batches
         self.timeline = None
-        self.timeline_ops = 0
-        self.timeline_op_counts = {}
         self.slo_report = None
-        if tl is not None:
-            self.timeline_op_counts = tl.op_counts
-            self.timeline_ops = tl.ops
-            horizon = self._horizon_s()
-            last_end = max((b.end_s for b in batches), default=0.0)
-            self.timeline = tl.finish(
-                horizon_s=horizon,
-                makespan_s=max(horizon, last_end),
-                capacity={"cpu": 1.0, "gpu": 1.0},
-            )
+        if obs.enabled:
+            self._record_obs(launch_retries, tracker)
+        if cfg.timeline_window_s > 0.0:
+            self.timeline = self._record_timeline()
             if cfg.slos:
                 monitor = SloMonitor(cfg.slos, cfg.burn)
                 self.slo_report = monitor.evaluate(self.timeline)
@@ -1050,8 +908,133 @@ class ServingSimulator:
                 )
         return self._build_report(
             iqueues, table, tenant_hist, batches, timeline,
-            tracker, cpu_busy_total, gpu_busy_total,
-            late_counts, failed_counts, retries, exhaustions,
+            tracker, retries, exhaustions,
+        )
+
+    # -- telemetry, derived from the request table and batch log --------------
+
+    def _served_rows(self) -> np.ndarray:
+        """Served rows in completion order: by batch (the device runs
+        one batch at a time, so batch order is completion order), then
+        by row (FIFO order within a batch)."""
+        table = self._table
+        rows = np.nonzero(table.status[:len(table)] == _ST_SERVED)[0]
+        return rows[np.argsort(table.batch[rows], kind="stable")]
+
+    def _record_obs(
+        self, launch_retries: Dict[str, int], tracker: DepthTracker
+    ) -> None:
+        """Fill the serving metric families and the batch spans."""
+        metrics = self._obs.metrics
+        table = self._table
+        n = len(table)
+        owner, status = table.tenant[:n], table.status[:n]
+        requests_total = metrics.counter(
+            "repro_serving_requests_total",
+            "Requests by tenant and outcome",
+            labels=("tenant", "outcome"),
+        )
+        latency_hist = metrics.histogram(
+            "repro_serving_request_latency_seconds",
+            "End-to-end served-request latency",
+            labels=("tenant",), buckets=DEFAULT_BUCKETS,
+        )
+        rows = self._served_rows()
+        latency = table.finish_s[rows] - table.arrival_s[rows]
+        for k, name in enumerate(self._names):
+            counts = np.bincount(
+                status[owner == k], minlength=_ST_REJECTED + 1
+            )
+            for code, outcome in _OUTCOMES:
+                if counts[code]:
+                    requests_total.labels(
+                        tenant=name, outcome=outcome
+                    ).inc(int(counts[code]))
+            mine = latency[owner[rows] == k]
+            if mine.size:
+                latency_hist.labels(tenant=name).observe_many(mine)
+        if any(launch_retries.values()):
+            retries_total = metrics.counter(
+                "repro_resilience_retries_total",
+                "Hybrid-kernel launch retries", labels=("tenant",),
+            )
+            for name, count in launch_retries.items():
+                if count:
+                    retries_total.labels(tenant=name).inc(count)
+        batches_total = metrics.counter(
+            "repro_serving_batches_total",
+            "Batches dispatched per tenant", labels=("tenant",),
+        )
+        per_tenant: Dict[str, int] = {}
+        tracer = self._obs.tracer
+        for batch in self.batches:
+            per_tenant[batch.tenant] = per_tenant.get(batch.tenant, 0) + 1
+            tracer.record(
+                f"{batch.tenant}:batch(n={batch.size})",
+                batch.start_s, batch.end_s, category="batch",
+                tenant=batch.tenant, size=batch.size, mode=batch.mode,
+            )
+        for name, count in per_tenant.items():
+            batches_total.labels(tenant=name).inc(count)
+        batch_size_hist = metrics.histogram(
+            "repro_serving_batch_size",
+            "Dispatched batch sizes", buckets=SIZE_BUCKETS,
+        )
+        if self.batches:
+            batch_size_hist.labels().observe_many(
+                [batch.size for batch in self.batches]
+            )
+        depth_gauge = metrics.gauge(
+            "repro_serving_queue_depth",
+            "Admitted requests waiting across all tenant queues",
+        )
+        depth_gauge.set(tracker.depth_max)
+        depth_gauge.set(tracker.depth)
+
+    def _record_timeline(self) -> TimelineArtifact:
+        """Bin the run's outcomes into the windowed timeline artifact."""
+        cfg = self._config
+        table = self._table
+        n = len(table)
+        arrival, finish = table.arrival_s[:n], table.finish_s[:n]
+        status = table.status[:n]
+        executed = table.batch[:n] >= 0
+        failed = status == _ST_FAILED
+        timed_out = status == _ST_TIMED_OUT
+        tl = TimelineRecorder(
+            cfg.timeline_window_s,
+            source=f"serve:{self._spec.name}",
+            meta={
+                "seed": str(cfg.seed),
+                "tenants": ",".join(sorted(self._names)),
+            },
+        )
+        tl.record_offered(arrival)
+        tl.record_shed(arrival[status == _ST_SHED])
+        tl.record_rejected(arrival[status == _ST_REJECTED])
+        tl.record_failed(finish[failed & executed])
+        # Fail-fast batches never reached the device: a queue leave.
+        tl.record_failed(finish[failed & ~executed], from_queue=True)
+        tl.record_timed_out(finish[timed_out & ~executed])
+        tl.record_timed_out(finish[timed_out & executed], late=True)
+        rows = self._served_rows()
+        tl.record_served(finish[rows], finish[rows] - arrival[rows])
+        cols = np.array(
+            [
+                (b.start_s, b.end_s, b.size, b.cpu_busy_s, b.gpu_busy_s,
+                 b.energy_j)
+                for b in self.batches
+            ],
+            dtype=np.float64,
+        ).reshape(-1, 6).T
+        tl.record_batch(
+            cols[0], cols[1], cols[2],
+            busy=(("cpu", cols[3]), ("gpu", cols[4])), energy_j=cols[5],
+        )
+        return tl.finish(
+            horizon_s=self._horizon_s(),
+            makespan_s=self._makespan_s(),
+            capacity={"cpu": 1.0, "gpu": 1.0},
         )
 
     # -- report assembly ------------------------------------------------------
@@ -1062,19 +1045,22 @@ class ServingSimulator:
             for t in self._tenants
         )
 
+    def _makespan_s(self) -> float:
+        return max([self._horizon_s()] + [b.end_s for b in self.batches])
+
     def _build_report(
         self, queues, table, tenant_hist, batches, timeline,
-        tracker, cpu_busy_total, gpu_busy_total,
-        late_counts, failed_counts, retries, exhaustions,
+        tracker, retries, exhaustions,
     ) -> ServingReport:
         horizon = self._horizon_s()
-        last_end = max((b.end_s for b in batches), default=0.0)
-        makespan = max(horizon, last_end)
+        makespan = self._makespan_s()
         n = len(table)
         arrival = table.arrival_s[:n]
         finish = table.finish_s[:n]
         status = table.status[:n]
         owner = table.tenant[:n]
+        cpu_busy_total = sum(b.cpu_busy_s for b in batches)
+        gpu_busy_total = sum(b.gpu_busy_s for b in batches)
         tenant_stats = []
         all_latencies: List[float] = []
         abandoned: List[float] = []
@@ -1098,7 +1084,9 @@ class ServingSimulator:
                     served=len(latencies),
                     shed=queue.shed,
                     timed_out=queue.timed_out,
-                    failed=failed_counts[name],
+                    failed=int(
+                        np.count_nonzero(mine & (status == _ST_FAILED))
+                    ),
                     rejected=queue.rejected,
                     latency=LatencyStats.from_latencies(latencies),
                     batch_histogram=dict(tenant_hist[name]),
@@ -1134,7 +1122,9 @@ class ServingSimulator:
             tenants=tuple(tenant_stats),
             seed=self._config.seed,
             timed_out=timed_out,
-            late=sum(late_counts.values()),
+            late=int(np.count_nonzero(
+                (status == _ST_TIMED_OUT) & (table.batch[:n] >= 0)
+            )),
             failed=failed,
             rejected=rejected,
             abandoned_latency=LatencyStats.from_latencies(abandoned),

@@ -10,10 +10,9 @@ legacy single-heap order, made explicit:
 3. heap events order among themselves by ``(time, kind, seq)``.
 
 When the client signals that per-arrival processing is unobservable —
-device busy, no faults, no per-request metrics, fully open loop — the
-engine hands the whole span of arrivals up to the next heap event to
-``on_arrivals`` as index-free numpy arrays (the bulk-admission fast
-path).  Otherwise each arrival goes through ``on_arrival`` exactly as
+device busy, no faults, fully open loop — the engine hands the whole
+span of arrivals up to the next heap event to ``on_arrivals`` as
+index-free numpy arrays (the bulk-admission fast path).  Otherwise each arrival goes through ``on_arrival`` exactly as
 the scalar loop would.
 
 :class:`DepthTracker` carries the time-weighted queue-depth integral.

@@ -46,7 +46,7 @@ class RequestTable:
 
     __slots__ = (
         "arrival_s", "finish_s", "dispatch_s", "deadline_s",
-        "status", "tenant", "batch_size", "corrupt", "size",
+        "status", "tenant", "batch_size", "batch", "corrupt", "size",
     )
 
     def __init__(self, capacity: int = 0) -> None:
@@ -58,6 +58,10 @@ class RequestTable:
         self.status = np.zeros(cap, dtype=np.int8)
         self.tenant = np.zeros(cap, dtype=np.int32)
         self.batch_size = np.zeros(cap, dtype=np.int32)
+        #: index of the executed batch in the simulator's batch log;
+        #: -1 for rows never executed (shed, rejected, abandoned in the
+        #: queue, or failed at dispatch before reaching the device).
+        self.batch = np.full(cap, -1, dtype=np.int32)
         self.corrupt = np.zeros(cap, dtype=bool)
         self.size = 0
 
@@ -72,17 +76,11 @@ class RequestTable:
         for name, fill in (
             ("arrival_s", 0.0), ("finish_s", np.nan),
             ("dispatch_s", np.nan), ("deadline_s", np.nan),
+            ("status", 0), ("tenant", 0), ("batch_size", 0),
+            ("batch", -1), ("corrupt", False),
         ):
             old = getattr(self, name)
-            col = np.full(new, fill)
-            col[:cap] = old
-            setattr(self, name, col)
-        for name, dtype in (
-            ("status", np.int8), ("tenant", np.int32),
-            ("batch_size", np.int32), ("corrupt", bool),
-        ):
-            old = getattr(self, name)
-            col = np.zeros(new, dtype=dtype)
+            col = np.full(new, fill, dtype=old.dtype)
             col[:cap] = old
             setattr(self, name, col)
 

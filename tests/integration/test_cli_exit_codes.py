@@ -5,10 +5,13 @@ interpreter processes must print identical fault-timeline and report
 digests (CI replays exactly this check).
 """
 
+import json
 import os
 import pathlib
 import subprocess
 import sys
+
+import pytest
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 ENV = {
@@ -51,6 +54,28 @@ class TestExitCodes:
         lines = [ln for ln in result.stderr.splitlines() if ln]
         assert len(lines) == 1
         assert lines[0].startswith("error: ")
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("field, value", [
+        ("window_s", "abc"),
+        ("series", [1, 2]),
+        ("series", {"offered": []}),   # shorter than the window count
+    ])
+    def test_malformed_timeline_artifact_exits_2(self, tmp_path, field, value):
+        from repro.obs.timeline import TimelineRecorder
+
+        recorder = TimelineRecorder(1.0, source="test")
+        recorder.record_offered([0.1, 0.7])
+        doc = recorder.finish(horizon_s=1.0, makespan_s=1.0).to_dict()
+        doc[field] = value
+        bad = tmp_path / "timeline.json"
+        bad.write_text(json.dumps(doc))
+        result = repro("timeline", "show", str(bad))
+        assert result.returncode == 2
+        lines = [ln for ln in result.stderr.splitlines() if ln]
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ")
+        assert field in lines[0]
         assert "Traceback" not in result.stderr
 
     def test_faults_show_unknown_exits_2(self):

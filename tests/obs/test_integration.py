@@ -171,3 +171,33 @@ class TestServingIntegration:
         sim, report = self.scenario(obs=obs)
         assert len(sim.requests) == report.offered
         assert len(sim.batches) == int(report.extra["batch_count"])
+
+    def test_observed_run_takes_the_bulk_path(self, monkeypatch):
+        """Observability no longer forces per-arrival admission: busy-
+        device arrival spans of an observed run enter the request table
+        in bulk, and the report matches the unobserved run's."""
+        from repro.serving import BatchPolicy, ServingConfig
+        from repro.sim.engine import RequestTable
+
+        def run(obs):
+            clear_plan_cache()
+            return ServingSimulator(
+                None, [poisson_tenant("lenet", 20000.0, 0.5, seed=7)],
+                ServingConfig(policy=BatchPolicy(max_batch_size=32), seed=7),
+                obs=obs,
+            ).run()
+
+        plain = run(None)
+        bulk_rows = []
+        append_bulk = RequestTable.append_bulk
+
+        def counting(table, arrivals_s, tenant):
+            bulk_rows.append(len(arrivals_s))
+            return append_bulk(table, arrivals_s, tenant)
+
+        monkeypatch.setattr(RequestTable, "append_bulk", counting)
+        observed = run(Observability.on())
+        assert observed.digest() == plain.digest()
+        assert sum(bulk_rows) > observed.offered // 2, (
+            f"{sum(bulk_rows)} of {observed.offered} rows took the bulk path"
+        )

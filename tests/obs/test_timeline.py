@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from repro.errors import ReproError
@@ -58,33 +59,26 @@ class TestRecorder:
         assert art.series["offered"] == [0, 1]
 
     def test_bulk_offered_equals_per_event_offered(self):
+        # Hooks take arrays: one call per outcome kind bins exactly
+        # like one call per event.
         times = [0.1, 0.4, 1.7, 2.2, 2.9]
         one = TimelineRecorder(1.0)
         for t in times:
             one.record_offered(t)
+            one.record_shed(t)
         bulk = TimelineRecorder(1.0)
-        bulk.record_offered_bulk(times)
+        bulk.record_offered(times)
+        bulk.record_shed(np.asarray(times))
         a = one.finish(horizon_s=3.0, makespan_s=3.0)
         b = bulk.finish(horizon_s=3.0, makespan_s=3.0)
         assert a.digest() == b.digest()
-        assert bulk.op_counts["offered"] == 1
-        assert one.op_counts["offered"] == len(times)
+        assert b.series["shed"] == [2, 1, 2]
 
     def test_negative_timestamp_raises_at_finish(self):
         r = TimelineRecorder(1.0)
         r.record_offered(-0.1)
         with pytest.raises(ReproError):
             r.finish(horizon_s=1.0, makespan_s=1.0)
-
-    def test_ops_and_op_counts_are_derived(self):
-        r = TimelineRecorder(0.5)
-        r.record_offered(0.1)
-        r.record_shed(0.2, 3)
-        r.record_served(0.3, [0.01, 0.02])
-        assert r.op_counts["offered"] == 1
-        assert r.op_counts["shed"] == 1
-        assert r.op_counts["served"] == 1
-        assert r.ops == 3
 
     def test_finish_is_pure(self):
         r = TimelineRecorder(0.5)
@@ -105,7 +99,7 @@ class TestRecorder:
     def test_fail_fast_failed_counts_as_queue_leave(self):
         r = TimelineRecorder(1.0)
         r.record_offered(0.0)
-        r.record_failed(0.5, 1, from_queue=True)
+        r.record_failed(0.5, from_queue=True)
         art = r.finish(horizon_s=2.0, makespan_s=2.0)
         assert art.series["queue_depth_mean"][0] == pytest.approx(0.5)
         assert art.series["queue_depth_mean"][1] == pytest.approx(0.0)
@@ -116,7 +110,7 @@ class TestRecorder:
         r = TimelineRecorder(1.0)
         r.record_offered(0.0)
         r.record_batch(0.2, 0.4, 1)
-        r.record_timed_out(0.4, 1, late=True)
+        r.record_timed_out(0.4, late=True)
         art = r.finish(horizon_s=1.0, makespan_s=1.0)
         assert art.series["queue_depth_mean"][0] == pytest.approx(0.2)
         assert art.series["late"] == [1]
@@ -333,9 +327,9 @@ def degraded_artifact(bad_windows, total=10, served_per_window=10):
     r = TimelineRecorder(1.0, source="slo-test")
     for w in range(total):
         t = w + 0.5
-        r.record_offered(t, served_per_window)
+        r.record_offered([t] * served_per_window)
         if w in bad_windows:
-            r.record_timed_out(t, served_per_window)
+            r.record_timed_out([t] * served_per_window)
         else:
             r.record_batch(t, t + 0.01, served_per_window)
             r.record_served(
@@ -447,7 +441,6 @@ class TestServingIntegration:
         assert art.total("served") == report.served
         assert art.total("shed") == report.shed
         assert art.total("timed_out") == report.timed_out
-        assert sim.timeline_ops == sum(sim.timeline_op_counts.values())
 
     def test_same_seed_reruns_are_digest_identical(self):
         a, _ = self.run_sim()
@@ -492,8 +485,7 @@ class TestClusterIntegration:
         assert art.total("offered") == report.offered
         assert art.total("served") == report.served
         assert art.total("shed") == report.shed
-        # The whole arrival stream goes in through one bulk call.
-        assert sim.timeline_op_counts["offered"] == 1
+        assert art.total("timed_out") == report.timed_out
 
     def test_cross_process_digests_are_bit_identical(self):
         script = (
