@@ -23,14 +23,14 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from ..compile.backends import AnalyticBackend
 from ..compile.pipeline import CompiledPlan, compile_fixed
 from ..hardware.device import Device
 from ..hardware.specs import DeviceSpec
 from ..hardware.throttle import ThrottleFactors, apply_throttle
 from ..nn.precision import Precision
 from ..obs import NOOP_OBS, Observability
-from ..serving.simulator import BatchServiceTime
+from ..serving.simulator import BatchServiceTime, warm_service_time
+from ..store.fingerprint import device_fingerprint
 
 
 class BaselineServiceTimeModel:
@@ -57,6 +57,7 @@ class BaselineServiceTimeModel:
         self._obs = obs if obs is not None else NOOP_OBS
         self._placement = "gpu" if spec.has_gpu else "cpu"
         self._warm: Dict[Tuple, BatchServiceTime] = {}
+        self._device_fp = device_fingerprint(spec)
 
     @property
     def spec(self) -> DeviceSpec:
@@ -98,20 +99,16 @@ class BaselineServiceTimeModel:
             host_staging=self._placement == "gpu",
             obs=self._obs,
         )
-        if factors is not None and not factors.is_noop:
+        throttle = None if factors is None or factors.is_noop else factors
+        if throttle is not None:
             compiled = CompiledPlan(
                 graph=compiled.graph,
-                device=Device(apply_throttle(self._spec, factors)),
+                device=Device(apply_throttle(self._spec, throttle)),
                 artifact=compiled.artifact,
             )
-        report = AnalyticBackend(warm_weights=True).execute(
-            compiled, obs=self._obs
-        )
-        svc = BatchServiceTime(
-            total_s=report.total_s,
-            cpu_busy_s=report.cpu_busy_s,
-            gpu_busy_s=report.gpu_busy_s,
-            energy_j=report.energy.energy_j,
+        svc = warm_service_time(
+            compiled, self._device_fp, throttle, self._obs,
+            placement=self._placement,
         )
         self._warm[key] = svc
         return svc

@@ -37,7 +37,7 @@ from ..hardware.variants import full_catalog
 from ..nn.precision import Precision
 from ..obs import NOOP_OBS, Observability
 from ..serving.batcher import BatchPolicy
-from ..serving.simulator import ServiceTimeModel
+from ..serving.simulator import BatchServiceTime, ServiceTimeModel
 from .baselines import BaselineServiceTimeModel
 
 #: Any per-spec batched service-time provider (EdgeNN-tuned or baseline).
@@ -187,7 +187,7 @@ class Replica:
         "queue", "busy_until", "version", "active", "draining",
         "created_s", "retired_s", "busy_s", "energy_j", "batches",
         "served", "failed", "svc1_s", "unit_s", "unit_energy_j",
-        "faults", "injector",
+        "service_by_size", "faults", "injector",
     )
 
     def __init__(
@@ -233,6 +233,14 @@ class Replica:
         self.svc1_s = svc1.total_s
         self.unit_s = svc_b.total_s / max_batch
         self.unit_energy_j = svc_b.energy_j / max_batch
+        #: warm service time per batch size (index = size), filled on
+        #: first dispatch of each size: a healthy replica's dispatch
+        #: reads it instead of asking the model.
+        self.service_by_size: List[Optional[BatchServiceTime]] = (
+            [None] * (max_batch + 1)
+        )
+        self.service_by_size[1] = svc1
+        self.service_by_size[max_batch] = svc_b
         self.faults = faults
         # Per-replica deterministic fault draws: each faulted replica
         # gets its own injector stream keyed by (run seed, replica

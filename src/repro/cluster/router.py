@@ -40,6 +40,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..errors import ReproError
 from .fleet import Pool, Replica
 
+_INF = float("inf")
+
 
 class Router:
     """Per-pool routing policy.
@@ -102,7 +104,7 @@ class LeastQueueRouter(Router):
     def _push(self, replica: Replica) -> None:
         heapq.heappush(
             self._heap,
-            (replica.depth, replica.version, replica.idx, replica),
+            (len(replica.queue), replica.version, replica.idx, replica),
         )
 
     def on_replica_added(self, replica: Replica) -> None:
@@ -184,6 +186,7 @@ class PlanCostRouter(Router):
                 f"affinity_slack must be >= 0, got {affinity_slack}"
             )
         self.objective = objective
+        self._energy = objective == ENERGY
         self.affinity_slack = affinity_slack
         #: idle replicas (latency) / all replicas (energy), keyed by a
         #: clock-free cost.
@@ -195,8 +198,8 @@ class PlanCostRouter(Router):
 
     # -- heap maintenance -------------------------------------------------
 
-    def _file(self, replica: Replica, now: float) -> None:
-        """Push ``replica`` into the heap its current state belongs to.
+    def note(self, replica: Replica, now: float) -> None:
+        """Re-file ``replica`` into the heap its current state belongs to.
 
         The idle heap takes replicas with no pending work *as of now* —
         their cost stays ``svc1_s`` until the next state change because
@@ -206,66 +209,71 @@ class PlanCostRouter(Router):
         at ``busy_until`` re-files it), so within that heap cost is
         ``key - now`` and the top is the exact argmin.
         """
-        if self.objective == ENERGY:
+        if not replica.active or replica.draining:
+            return
+        if self._energy:
             heapq.heappush(
                 self._idle,
                 (replica.unit_energy_j, replica.version, replica.idx, replica),
             )
             return
-        if replica.depth == 0 and replica.busy_until <= now:
+        depth = len(replica.queue)
+        busy_until = replica.busy_until
+        if not depth and busy_until <= now:
             heapq.heappush(
                 self._idle,
                 (replica.svc1_s, replica.version, replica.idx, replica),
             )
         else:
-            completion = (
-                replica.busy_until
-                + replica.depth * replica.unit_s
-                + replica.svc1_s
-            )
             heapq.heappush(
                 self._busy,
-                (completion, replica.version, replica.idx, replica),
+                (
+                    busy_until + depth * replica.unit_s + replica.svc1_s,
+                    replica.version, replica.idx, replica,
+                ),
             )
 
     def on_replica_added(self, replica: Replica) -> None:
-        self._file(replica, replica.created_s)
-
-    def note(self, replica: Replica, now: float) -> None:
-        if replica.routable:
-            self._file(replica, now)
+        self.note(replica, replica.created_s)
 
     # -- cost evaluation --------------------------------------------------
 
     def _cost(self, replica: Replica, now: float) -> float:
-        if self.objective == ENERGY:
+        if self._energy:
             return replica.unit_energy_j
         return replica.predicted_latency_s(now)
 
-    def _peek(
-        self, heap: List[Tuple[float, int, int, Replica]]
-    ) -> Optional[Tuple[float, Replica]]:
-        while heap:
-            key, version, _, replica = heap[0]
-            if version != replica.version or not replica.routable:
-                heapq.heappop(heap)
-                continue
-            return key, replica
-        return None
-
     def choose(self, now: float, tenant: str) -> Optional[Replica]:
+        # The top live entry of each heap is the argmin of its heap;
+        # stale entries (version moved on, or no longer routable) are
+        # dropped as they surface, and the idle heap's top wins ties.
+        # The cost is ``_cost`` written out: the same float operations
+        # in the same order, without two calls per candidate.
         best: Optional[Replica] = None
-        best_cost = float("inf")
-        idle = self._peek(self._idle)
-        if idle is not None:
-            cost = self._cost(idle[1], now)
-            if cost < best_cost:
-                best, best_cost = idle[1], cost
-        busy = self._peek(self._busy)
-        if busy is not None:
-            cost = self._cost(busy[1], now)
-            if cost < best_cost:
-                best, best_cost = busy[1], cost
+        best_cost = _INF
+        energy = self._energy
+        for heap in (self._idle, self._busy):
+            while heap:
+                _, version, _, replica = heap[0]
+                if (
+                    version != replica.version
+                    or not replica.active
+                    or replica.draining
+                ):
+                    heapq.heappop(heap)
+                    continue
+                if energy:
+                    cost = replica.unit_energy_j
+                else:
+                    wait = replica.busy_until - now
+                    cost = (
+                        (wait if wait > 0.0 else 0.0)
+                        + len(replica.queue) * replica.unit_s
+                        + replica.svc1_s
+                    )
+                if cost < best_cost:
+                    best, best_cost = replica, cost
+                break
         if best is None:
             return None
         if self.affinity_slack > 0.0:

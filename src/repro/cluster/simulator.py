@@ -67,6 +67,8 @@ from .report import (
 )
 from .router import LATENCY, Router, make_router
 
+_INF = float("inf")
+
 #: the fleet heap's only event kind — batch completions (continuous
 #: batching has no wait timers; arrivals live in the merged epoch).
 _COMPLETION = 1
@@ -138,15 +140,6 @@ class _TimelineLog:
         self.latencies: List[float] = []
         #: (start, end, size, energy_j, busy_s, device class) per batch.
         self.batches: List[Tuple[float, float, int, float, float, str]] = []
-
-    def completed(
-        self, now: float, size: int, failed: bool, served: List[float]
-    ) -> None:
-        if failed:
-            self.outcomes.append((now, 0, 0, size, 0))
-        else:
-            self.latencies.extend(served)
-            self.outcomes.append((now, len(served), size - len(served), 0, 0))
 
     def hand_over(self, tl: TimelineRecorder, arrivals: np.ndarray) -> None:
         tl.record_offered(arrivals)
@@ -232,8 +225,6 @@ class ClusterSimulator:
         #: fleet batch-slice trace of the last run (None unless the
         #: observability bundle is enabled) — feeds the Perfetto export.
         self.trace: Optional[Trace] = None
-        # Timeline event log shared between run() and _try_dispatch().
-        self._log: Optional[_TimelineLog] = None
 
     def _horizon_s(self) -> float:
         return max(
@@ -243,8 +234,8 @@ class ClusterSimulator:
 
     # -- service selection under faults ----------------------------------
 
-    def _batch_service(self, replica: Replica, size: int, now: float):
-        """Service time for one batch, with this replica's faults applied.
+    def _faulted_service(self, replica: Replica, size: int, now: float):
+        """Service time for one batch on a faulted replica.
 
         Thermal windows run the *stale* nominal plan at throttled rates
         (the naive-device behavior — fleet-level resilience is routing
@@ -254,8 +245,6 @@ class ClusterSimulator:
         Returns (service, failed).
         """
         injector = replica.injector
-        if injector is None:
-            return replica.model.warm(replica.network, size), False
         factors = injector.throttle_at(now)
         kind = "no_zerocopy" if injector.memory_pressure_at(now) else "normal"
         svc = replica.model.service(
@@ -271,59 +260,6 @@ class ClusterSimulator:
         return svc, failed
 
     # -- replica state transitions ----------------------------------------
-
-    def _try_dispatch(
-        self,
-        replica: Replica,
-        pool: Pool,
-        now: float,
-        heap: EventHeap,
-    ) -> None:
-        """Dispatch one batch if the device is free."""
-        if replica.busy_until > now + _EPS or not replica.queue:
-            return
-        deadline = pool.policy.deadline_s
-        batch: List[float] = []
-        abandoned = 0
-        while replica.queue and len(batch) < pool.policy.max_batch_size:
-            arrival = replica.queue.popleft()
-            if deadline is not None and now - arrival > deadline + _EPS:
-                # Abandoned in queue: the client gave up before we got
-                # to it — device time is not spent on it.
-                pool.timed_out += 1
-                abandoned += 1
-                if self.autoscaler is not None:
-                    self.autoscaler.observe_miss(pool)
-                continue
-            batch.append(arrival)
-        replica.version += 1
-        log = self._log
-        if log is not None and abandoned:
-            log.outcomes.append((now, 0, 0, 0, abandoned))
-        if not batch:
-            return
-        size = len(batch)
-        svc, failed = self._batch_service(replica, size, now)
-        end = now + svc.total_s
-        replica.busy_until = end
-        replica.busy_s += svc.total_s
-        replica.energy_j += svc.energy_j
-        replica.batches += 1
-        pool.batch_histogram[size] = pool.batch_histogram.get(size, 0) + 1
-        if log is not None:
-            log.batches.append((
-                now, end, size, svc.energy_j, svc.total_s,
-                base_device_name(replica.spec.name),
-            ))
-        if self.trace is not None:
-            self.trace.add(TraceEvent(
-                resource=replica.name,
-                label=f"{pool.name}:batch(n={size})",
-                start_s=now,
-                end_s=end,
-                category="batch",
-            ))
-        heap.push(end, _COMPLETION, (replica, tuple(batch), failed))
 
     def _retire_if_drained(self, replica: Replica, now: float) -> None:
         if (
@@ -343,9 +279,8 @@ class ClusterSimulator:
         cache = default_plan_cache()
         cache_before = cache.stats()
         log = _TimelineLog() if cfg.timeline_window_s > 0.0 else None
-        self._log = log
         self.timeline = None
-        self.trace = Trace() if self._obs.enabled else None
+        trace = self.trace = Trace() if self._obs.enabled else None
         # The shared event core merges all tenants' arrival epochs
         # (concatenate + stable argsort, same dedup'd path serving
         # uses) and drives the completion heap and autoscaler ticks.
@@ -354,10 +289,19 @@ class ClusterSimulator:
         )
         heap = EventHeap()
         engine = EventEngine(schedule, heap)
-        pools_of_tenant: List[Pool] = [
-            self._pools[t.network] for t in self._tenants
-        ]
-        tenant_names: List[str] = [t.tenant_name for t in self._tenants]
+        # Per tenant, everything routing one of its requests touches,
+        # bound once: the per-request path below makes no attribute
+        # chain or dict lookup to reach its pool and router.
+        notes = {
+            pool: self.routers[pool.name].note for pool in self.fleet.pools
+        }
+        routes = []
+        for tenant in self._tenants:
+            pool = self._pools[tenant.network]
+            routes.append((
+                pool, self.routers[pool.name].choose, notes[pool],
+                tenant.tenant_name, pool.policy.max_queue_depth,
+            ))
         scaler = self.autoscaler
         tick_interval = (
             cfg.autoscaler.interval_s if cfg.autoscaler is not None else 0.0
@@ -367,6 +311,66 @@ class ClusterSimulator:
         pool_peak = {
             pool.name: len(pool.replicas) for pool in self.fleet.pools
         }
+
+        def dispatch(replica: Replica, pool: Pool, now: float) -> None:
+            """Start one batch on a free device (continuous batching).
+
+            Queued arrival instants are non-decreasing, so the requests
+            whose deadline passed in the queue are a prefix: they are
+            abandoned (no device time spent on them) before the batch
+            takes up to ``max_batch_size`` of the rest.
+            """
+            queue = replica.queue
+            policy = pool.policy
+            deadline = policy.deadline_s
+            abandoned = 0
+            if deadline is not None:
+                late_after = deadline + _EPS
+                while queue and now - queue[0] > late_after:
+                    queue.popleft()
+                    abandoned += 1
+            replica.version += 1
+            if abandoned:
+                pool.timed_out += abandoned
+                if scaler is not None:
+                    for _ in range(abandoned):
+                        scaler.observe_miss(pool)
+                if log is not None:
+                    log.outcomes.append((now, 0, 0, 0, abandoned))
+            if not queue:
+                return
+            size = min(len(queue), policy.max_batch_size)
+            batch = [queue.popleft() for _ in range(size)]
+            if replica.injector is None:
+                svc = replica.service_by_size[size]
+                if svc is None:
+                    svc = replica.model.warm(replica.network, size)
+                    replica.service_by_size[size] = svc
+                failed = False
+            else:
+                svc, failed = self._faulted_service(replica, size, now)
+            total_s = svc.total_s
+            end = now + total_s
+            replica.busy_until = end
+            replica.busy_s += total_s
+            replica.energy_j += svc.energy_j
+            replica.batches += 1
+            histogram = pool.batch_histogram
+            histogram[size] = histogram.get(size, 0) + 1
+            if log is not None:
+                log.batches.append((
+                    now, end, size, svc.energy_j, total_s,
+                    base_device_name(replica.spec.name),
+                ))
+            if trace is not None:
+                trace.add(TraceEvent(
+                    resource=replica.name,
+                    label=f"{pool.name}:batch(n={size})",
+                    start_s=now,
+                    end_s=end,
+                    category="batch",
+                ))
+            heap.push(end, _COMPLETION, (replica, pool, batch, failed))
 
         def on_tick(now: float) -> None:
             # Autoscaler ticks interleave with real events on the same
@@ -393,14 +397,10 @@ class ClusterSimulator:
             next_tick_at += tick_interval
 
         def on_arrival(now: float, tenant_index: int) -> None:
-            pool = pools_of_tenant[tenant_index]
-            router = self.routers[pool.name]
+            pool, choose, note, tenant, max_depth = routes[tenant_index]
             pool.offered += 1
-            replica = router.choose(now, tenant_names[tenant_index])
-            if (
-                replica is None
-                or replica.depth >= pool.policy.max_queue_depth
-            ):
+            replica = choose(now, tenant)
+            if replica is None or len(replica.queue) >= max_depth:
                 # Admission control: the routing tier sheds what the
                 # chosen backend cannot queue — same accounting as
                 # the single-device service's bounded queues.
@@ -411,40 +411,49 @@ class ClusterSimulator:
             replica.queue.append(now)
             replica.version += 1
             if scaler is not None:
-                scaler.observe_admit(pool, replica.depth)
-            self._try_dispatch(replica, pool, now, heap)
-            router.note(replica, now)
+                scaler.observe_admit(pool, len(replica.queue))
+            if replica.busy_until <= now + _EPS:
+                dispatch(replica, pool, now)
+            note(replica, now)
 
         def on_event(now: float, kind: int, payload: object) -> None:
-            replica, batch, failed = payload
-            pool = self._pools[replica.pool_name]
-            deadline = pool.policy.deadline_s
-            lat_before = len(pool.latencies) if log is not None else 0
-            for arrival in batch:
-                if failed:
-                    pool.failed += 1
-                    replica.failed += 1
-                elif (
-                    deadline is not None
-                    and now - arrival > deadline + _EPS
-                ):
-                    # Completed, but past deadline: late response.
-                    pool.timed_out += 1
-                    pool.late += 1
-                    if scaler is not None:
-                        scaler.observe_miss(pool)
-                else:
-                    pool.served += 1
-                    replica.served += 1
-                    pool.latencies.append(now - arrival)
-            if log is not None:
-                log.completed(
-                    now, len(batch), failed, pool.latencies[lat_before:]
+            replica, pool, batch, failed = payload
+            if failed:
+                pool.failed += len(batch)
+                replica.failed += len(batch)
+                if log is not None:
+                    log.outcomes.append((now, 0, 0, len(batch), 0))
+            else:
+                deadline = pool.policy.deadline_s
+                late_after = (
+                    deadline + _EPS if deadline is not None else _INF
                 )
+                latencies = pool.latencies
+                lat_before = len(latencies)
+                for arrival in batch:
+                    latency = now - arrival
+                    if latency > late_after:
+                        # Completed, but past deadline: late response.
+                        pool.timed_out += 1
+                        pool.late += 1
+                        if scaler is not None:
+                            scaler.observe_miss(pool)
+                    else:
+                        latencies.append(latency)
+                served = len(latencies) - lat_before
+                pool.served += served
+                replica.served += served
+                if log is not None:
+                    log.latencies.extend(latencies[lat_before:])
+                    log.outcomes.append(
+                        (now, served, len(batch) - served, 0, 0)
+                    )
             replica.version += 1
-            self._try_dispatch(replica, pool, now, heap)
-            self._retire_if_drained(replica, now)
-            self.routers[pool.name].note(replica, now)
+            if replica.queue and replica.busy_until <= now + _EPS:
+                dispatch(replica, pool, now)
+            if replica.draining:
+                self._retire_if_drained(replica, now)
+            notes[pool](replica, now)
 
         engine.run(
             on_arrival=on_arrival,
@@ -480,7 +489,6 @@ class ClusterSimulator:
                     for name, count in self.fleet.device_counts().items()
                 },
             )
-            self._log = None
         cache_delta = cache.stats().delta(cache_before)
         return self._build_report(
             makespan, horizon, peak, pool_peak, cache_delta

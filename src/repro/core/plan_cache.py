@@ -28,6 +28,14 @@ Two properties matter for serving:
   count as hits and are additionally reported in
   :attr:`PlanCache.disk_hits`.  The store is the only disk tier: it
   owns integrity checks, staleness fingerprints and quarantine.
+
+The cache also memoizes what *executing* a cached plan costs
+(:meth:`PlanCache.service_time`): a warm analytic run is a pure
+function of the plan and the device it runs on, so a fresh serving
+simulator or fleet over warm plans re-reads those numbers instead of
+re-running the executor.  The memo shares the lock and the lifetime of
+the plans: :meth:`PlanCache.clear` empties it and
+:meth:`PlanCache.invalidate` drops a key's entries with the plan.
 """
 
 from __future__ import annotations
@@ -37,13 +45,23 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Callable, Dict, List, Mapping, Optional, Union, TYPE_CHECKING
+from typing import (
+    Callable, Dict, Hashable, List, Mapping, Optional, Tuple, TypeVar, Union,
+    TYPE_CHECKING,
+)
 
 from ..errors import ReproError
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..store.plan_store import PlanStore
     from .tuner import TuningResult
+
+
+_T = TypeVar("_T")
+
+#: Most warm service times one cache memoizes; beyond it the oldest
+#: entry is dropped (plain FIFO — a re-execution only costs time).
+SERVICE_MEMO_CAPACITY = 4096
 
 
 def _require(condition: bool, message: str) -> None:
@@ -205,6 +223,9 @@ class PlanCache:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self._capacity = capacity
         self._entries: "OrderedDict[PlanKey, TuningResult]" = OrderedDict()
+        #: warm service times of executed plans; every key's first
+        #: element is the PlanKey of the executed plan.
+        self._service: Dict[Tuple[Hashable, ...], object] = {}
         self._lock = threading.RLock()
         self._plan_store = store
         self.hits = 0
@@ -265,11 +286,33 @@ class PlanCache:
             self._persist(key, result)
             return result
 
+    def service_time(
+        self, key: Tuple[Hashable, ...], measure: Callable[[], _T]
+    ) -> _T:
+        """Memoized warm execution cost of one plan on one device.
+
+        ``key`` starts with the executed plan's :class:`PlanKey` and
+        holds everything else the measured value depends on (lowering,
+        device content, weight residency); ``measure()`` runs on the
+        first request only.  Values must be immutable: every caller
+        gets the same object.  The memo does not touch the hit/miss
+        counters, which count plan lookups only.
+        """
+        with self._lock:
+            cached = self._service.get(key)
+            if cached is None:
+                cached = measure()
+                self._service[key] = cached
+                if len(self._service) > SERVICE_MEMO_CAPACITY:
+                    del self._service[next(iter(self._service))]
+            return cached  # type: ignore[return-value]
+
     def invalidate(
         self, key: PlanKey, *, remove_disk: bool = False
     ) -> List[str]:
         """Drop ``key``'s in-memory entry (graceful degradation: a plan
-        whose predicted cost has drifted from reality must be re-tuned).
+        whose predicted cost has drifted from reality must be re-tuned)
+        together with its memoized service times.
 
         ``remove_disk=True`` also removes the key's plan-store entry
         when a store is attached, forcing the next lookup to re-tune
@@ -283,6 +326,8 @@ class PlanCache:
             removed: List[str] = []
             if self._entries.pop(key, None) is not None:
                 removed.append("memory")
+            for memo_key in [k for k in self._service if k[0] == key]:
+                del self._service[memo_key]
             if remove_disk and self._plan_store is not None:
                 removed.extend(
                     str(p) for p in self._plan_store.remove(key)
@@ -290,13 +335,15 @@ class PlanCache:
             return removed
 
     def clear(self) -> None:
-        """Drop every in-memory entry and reset the counters.
+        """Drop every in-memory entry and memoized service time, and
+        reset the counters.
 
         Plan-store entries are left on disk (they are the whole point
         of persistence); use :meth:`invalidate` to drop those too.
         """
         with self._lock:
             self._entries.clear()
+            self._service.clear()
             self.hits = 0
             self.misses = 0
             self.disk_hits = 0
@@ -378,7 +425,8 @@ def configure_default_plan_cache(
 
 
 def clear_plan_cache() -> None:
-    """Drop every cached plan (tests / memory pressure)."""
+    """Drop every cached plan and memoized service time (tests / memory
+    pressure)."""
     with _DEFAULT_LOCK:
         cache = _DEFAULT
     if cache is not None:

@@ -29,9 +29,12 @@ def percentile(values: Sequence[float], q: float) -> float:
         raise ReproError("percentile of an empty sample")
     if not 0.0 <= q <= 1.0:
         raise ReproError(f"percentile rank must be in [0, 1], got {q}")
-    ordered = sorted(values)
-    rank = max(1, math.ceil(q * len(ordered)))
-    return ordered[rank - 1]
+    return _nearest_rank(sorted(values), q)
+
+
+def _nearest_rank(ordered: Sequence[float], q: float) -> float:
+    """Nearest-rank percentile of an already sorted, non-empty sample."""
+    return ordered[max(1, math.ceil(q * len(ordered))) - 1]
 
 
 @dataclass(frozen=True)
@@ -50,13 +53,16 @@ class LatencyStats:
         if not latencies:
             return cls(count=0, mean_s=0.0, p50_s=0.0, p95_s=0.0,
                        p99_s=0.0, max_s=0.0)
+        # One sort serves every rank.  The mean sums the sample in its
+        # given order: float addition order is part of the digest.
+        ordered = sorted(latencies)
         return cls(
             count=len(latencies),
             mean_s=sum(latencies) / len(latencies),
-            p50_s=percentile(latencies, 0.50),
-            p95_s=percentile(latencies, 0.95),
-            p99_s=percentile(latencies, 0.99),
-            max_s=max(latencies),
+            p50_s=_nearest_rank(ordered, 0.50),
+            p95_s=_nearest_rank(ordered, 0.95),
+            p99_s=_nearest_rank(ordered, 0.99),
+            max_s=ordered[-1],
         )
 
 

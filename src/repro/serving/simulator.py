@@ -91,6 +91,7 @@ from ..sim.engine import (
     TIMED_OUT as _ST_TIMED_OUT,
 )
 from ..sim.timeline import COPY, CPU, GPU, Timeline
+from ..store.fingerprint import device_fingerprint
 from ..workloads.arrivals import ArrivalProcess, PoissonArrivals
 from .batcher import _EPS, BatchPolicy
 from .report import (
@@ -212,6 +213,47 @@ class BatchRecord:
     mode: str = "warm"
 
 
+def warm_service_time(
+    compiled: CompiledPlan,
+    device_fp: str,
+    throttle: Optional[ThrottleFactors],
+    obs: Observability,
+    *,
+    placement: Optional[str] = None,
+) -> BatchServiceTime:
+    """Warm-weights analytic cost of one batch under ``compiled``.
+
+    Memoized in the process plan cache under everything the analytic
+    report depends on: the plan (its key and lowering, plus
+    ``placement`` for fixed plans that share a key), the executed
+    device by content — ``device_fp`` fingerprints the nominal spec and
+    ``throttle`` the factors applied to it (None: nominal) — and the
+    weight residency.  An enabled ``obs`` bypasses the memo, so the
+    executor's kernel spans and metrics are recorded on every call.
+    """
+    warm_weights = True
+
+    def measure() -> BatchServiceTime:
+        report = AnalyticBackend(warm_weights=warm_weights).execute(
+            compiled, obs=obs
+        )
+        return BatchServiceTime(
+            total_s=report.total_s,
+            cpu_busy_s=report.cpu_busy_s,
+            gpu_busy_s=report.gpu_busy_s,
+            energy_j=report.energy.energy_j,
+        )
+
+    if obs.enabled:
+        return measure()
+    artifact = compiled.artifact
+    return default_plan_cache().service_time(
+        (artifact.key, artifact.lowering, placement, device_fp, throttle,
+         warm_weights),
+        measure,
+    )
+
+
 class ServiceTimeModel:
     """Warm (and cold) batched service times, memoized per variant.
 
@@ -223,6 +265,9 @@ class ServiceTimeModel:
     thermal-throttle execution mode: ``retuned=False`` runs the *stale*
     nominal plan on the throttled device (what a naive service
     suffers), ``retuned=True`` re-tunes against the throttled spec.
+    Warm execution costs come from :func:`warm_service_time`, so a new
+    model over warm plans still looks each plan up (the cache counters
+    see it) but executes none.
     """
 
     def __init__(
@@ -239,6 +284,7 @@ class ServiceTimeModel:
         self._obs = obs if obs is not None else NOOP_OBS
         self._warm: Dict[Tuple, BatchServiceTime] = {}
         self._cold: Dict[Tuple[str, int], BatchServiceTime] = {}
+        self._device_fp = device_fingerprint(spec)
 
     @property
     def base_config(self) -> EdgeNNConfig:
@@ -290,11 +336,12 @@ class ServiceTimeModel:
         if cached is not None:
             return cached
         config = self._config_for(batch, kind)
-        if factors is None or factors.is_noop:
+        throttle = None if factors is None or factors.is_noop else factors
+        if throttle is None:
             engine = EdgeNN(network, self._spec, config, obs=self._obs)
             compiled = engine.compiled()
         elif retuned:
-            throttled = apply_throttle(self._spec, factors)
+            throttled = apply_throttle(self._spec, throttle)
             engine = EdgeNN(network, throttled, config, obs=self._obs)
             compiled = engine.compiled()
         else:
@@ -305,18 +352,10 @@ class ServiceTimeModel:
             nominal = engine.compiled()
             compiled = CompiledPlan(
                 graph=nominal.graph,
-                device=Device(apply_throttle(self._spec, factors)),
+                device=Device(apply_throttle(self._spec, throttle)),
                 artifact=nominal.artifact,
             )
-        report = AnalyticBackend(warm_weights=True).execute(
-            compiled, obs=self._obs
-        )
-        svc = BatchServiceTime(
-            total_s=report.total_s,
-            cpu_busy_s=report.cpu_busy_s,
-            gpu_busy_s=report.gpu_busy_s,
-            energy_j=report.energy.energy_j,
-        )
+        svc = warm_service_time(compiled, self._device_fp, throttle, self._obs)
         self._warm[key] = svc
         return svc
 
@@ -730,15 +769,13 @@ class ServingSimulator:
                     failed = True
                 if failed and svc.total_s == 0.0 and delay == 0.0:
                     # Fail-fast path (allocation failure): the batch is
-                    # lost before consuming any device time.
+                    # lost before consuming any device time.  It never
+                    # executed, so the batch histogram does not count it.
                     table.status[rows] = _ST_FAILED
                     table.finish_s[rows] = now
                     if has_followup[owner]:
                         for _ in range(size):
                             followup(owner, now)
-                    tenant_hist[chosen][size] = (
-                        tenant_hist[chosen].get(size, 0) + 1
-                    )
                     continue
                 device_busy = True
                 total = delay + svc.total_s

@@ -17,19 +17,27 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-_INF = float("inf")
+
+#: How many static arrivals the engine loop converts to Python lists at
+#: a time: per-arrival reads stay off numpy scalars without ever holding
+#: the whole epoch as a list (a full ``tolist()`` costs ~32 bytes of
+#: peak memory per arrival).
+CHUNK = 4096
 
 
 class ArrivalSchedule:
-    """Time-ordered arrival cursor over one merged epoch.
+    """Time-ordered arrival epoch plus a closed-loop side-heap.
 
     ``streams[k]`` is owner ``k``'s sorted arrival array; the merge is
     stable, so same-instant arrivals keep (owner, position) order —
     exactly the order a shared push-counter heap would produce when
-    each owner's arrivals are pushed in declaration order.
+    each owner's arrivals are pushed in declaration order.  The
+    :class:`~repro.sim.engine.core.EventEngine` walks the static epoch
+    itself (in :data:`CHUNK`-sized list views, or whole spans on the
+    bulk path) and records how far it got in :attr:`consumed`.
     """
 
-    __slots__ = ("times", "owners", "_i", "_n", "_dyn", "_dseq")
+    __slots__ = ("times", "owners", "dynamic", "consumed", "_dseq")
 
     def __init__(self, streams: Sequence[np.ndarray]) -> None:
         chunks: List[np.ndarray] = []
@@ -43,53 +51,27 @@ class ArrivalSchedule:
         order = np.argsort(times, kind="stable")
         self.times = times[order]
         self.owners = owner[order]
-        self._i = 0
-        self._n = len(self.times)
-        #: dynamic follow-ups as (time, seq, owner); seq starts past the
-        #: static epoch so dynamics lose every same-instant tie to it.
-        self._dyn: List[Tuple[float, int, int]] = []
-        self._dseq = self._n
+        #: static arrivals already delivered (the epoch cursor).
+        self.consumed = 0
+        #: dynamic (closed-loop) follow-ups as a heap of (time, seq,
+        #: owner); seq starts past the static epoch so dynamics lose
+        #: every same-instant tie to it.  The engine loop peeks at it
+        #: in place, so the list object is never rebound.
+        self.dynamic: List[Tuple[float, int, int]] = []
+        self._dseq = len(self.times)
 
     def __len__(self) -> int:
-        return (self._n - self._i) + len(self._dyn)
+        return (len(self.times) - self.consumed) + len(self.dynamic)
 
     def __bool__(self) -> bool:
-        return self._i < self._n or bool(self._dyn)
+        return self.consumed < len(self.times) or bool(self.dynamic)
 
     def push(self, time_s: float, owner: int) -> None:
         """Add one dynamic (closed-loop) arrival."""
-        heapq.heappush(self._dyn, (time_s, self._dseq, owner))
+        heapq.heappush(self.dynamic, (time_s, self._dseq, owner))
         self._dseq += 1
 
-    def peek_time(self) -> float:
-        """Instant of the next arrival (``inf`` when exhausted)."""
-        s = self.times[self._i] if self._i < self._n else _INF
-        if not self._dyn:
-            return float(s)
-        d = self._dyn[0][0]
-        return float(s) if s <= d else d
-
-    def pop(self) -> Tuple[float, int]:
-        """Pop the next arrival as (time, owner); static wins ties."""
-        s = self.times[self._i] if self._i < self._n else _INF
-        if self._dyn:
-            d = self._dyn[0][0]
-            if d < s:
-                time_s, _, owner = heapq.heappop(self._dyn)
-                return time_s, owner
-        i = self._i
-        self._i = i + 1
-        return float(s), int(self.owners[i])
-
-    def take_until(self, limit_s: float) -> Tuple[np.ndarray, np.ndarray]:
-        """Consume every *static* arrival with ``t <= limit_s`` at once.
-
-        Returns (times, owners) views of the epoch — the bulk-admission
-        path.  Callers must only use this when no dynamic arrival can
-        precede ``limit_s`` (the engine restricts bulk mode to fully
-        open-loop runs, where the side-heap stays empty).
-        """
-        i = self._i
-        j = int(np.searchsorted(self.times, limit_s, side="right"))
-        self._i = j
-        return self.times[i:j], self.owners[i:j]
+    def pop_dynamic(self) -> Tuple[float, int]:
+        """Pop the earliest dynamic arrival as (time, owner)."""
+        time_s, _, owner = heapq.heappop(self.dynamic)
+        return time_s, owner

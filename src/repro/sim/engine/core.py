@@ -12,8 +12,11 @@ legacy single-heap order, made explicit:
 When the client signals that per-arrival processing is unobservable —
 device busy, no faults, fully open loop — the engine hands the whole
 span of arrivals up to the next heap event to ``on_arrivals`` as
-index-free numpy arrays (the bulk-admission fast path).  Otherwise each arrival goes through ``on_arrival`` exactly as
-the scalar loop would.
+index-free numpy arrays (the bulk-admission fast path).  Otherwise
+each arrival goes through ``on_arrival`` exactly as the scalar loop
+would; the loop reads the arrival epoch in Python-list chunks and peeks
+at the event heap in place, so a scalar arrival costs no engine method
+call.
 
 :class:`DepthTracker` carries the time-weighted queue-depth integral.
 Its bulk update is the same cumulative sum the scalar loop computes —
@@ -23,11 +26,12 @@ total reproduces the scalar float adds bit-for-bit.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from bisect import bisect_right
+from typing import Callable, List, Optional
 
 import numpy as np
 
-from .arrivals import ArrivalSchedule
+from .arrivals import CHUNK, ArrivalSchedule
 from .heap import EventHeap
 
 _INF = float("inf")
@@ -160,31 +164,78 @@ class EventEngine:
         """
         schedule = self.schedule
         heap = self.heap
+        events = heap.events
+        dynamic = schedule.dynamic
+        epoch_times, epoch_owners = schedule.times, schedule.owners
+        total = len(epoch_times)
         bulk = on_arrivals is not None and bulk_ready is not None
         ticking = next_tick is not None
-        while True:
-            t_arrival = schedule.peek_time()
-            t_event = heap.peek_time()
-            t_next = t_arrival if t_arrival <= t_event else t_event
-            if t_next == _INF:
-                # No events left: pending ticks never fire (the clock
-                # stops with the last real event, as in the old loops).
-                return
-            if ticking:
-                tick_at = next_tick()
-                if tick_at <= t_next:
-                    on_tick(tick_at)
-                    continue
-            if t_arrival <= t_event:
-                if bulk and bulk_ready():
-                    times, owners = schedule.take_until(t_event)
-                    if len(times):
-                        on_arrivals(times, owners)
+        # The static epoch is read through Python-list chunks — no
+        # method call or numpy scalar per arrival, and never the whole
+        # epoch as a list.  The chunk holds epoch[base:base + n] and
+        # ``k`` indexes the next undelivered arrival in it; the bulk
+        # path delivers numpy views and moves ``base + k`` past them.
+        base = schedule.consumed
+        times: List[float] = []
+        owners: List[int] = []
+        n = k = 0
+        try:
+            while True:
+                if k < n:
+                    t_static = times[k]
+                elif base + k < total:
+                    base += k
+                    times = epoch_times[base:base + CHUNK].tolist()
+                    owners = epoch_owners[base:base + CHUNK].tolist()
+                    n, k = len(times), 0
+                    t_static = times[0]
+                else:
+                    t_static = _INF
+                t_arrival = (
+                    dynamic[0][0]
+                    if dynamic and dynamic[0][0] < t_static
+                    else t_static
+                )
+                t_event = events[0][0] if events else _INF
+                t_next = t_arrival if t_arrival <= t_event else t_event
+                if t_next == _INF:
+                    # No events left: pending ticks never fire (the
+                    # clock stops with the last real event, as in the
+                    # old loops).
+                    return
+                if ticking:
+                    tick_at = next_tick()
+                    if tick_at <= t_next:
+                        on_tick(tick_at)
                         continue
-                    # Only dynamic arrivals remain before the next heap
-                    # event; fall through to the scalar path.
-                now, owner = schedule.pop()
-                on_arrival(now, owner)
-            else:
-                now, kind, _seq, payload = heap.pop()
-                on_event(now, kind, payload)
+                if t_arrival <= t_event:
+                    if bulk and bulk_ready():
+                        # Every static arrival with t <= t_event, at once.
+                        start = base + k
+                        stop = base + bisect_right(times, t_event, k, n)
+                        if stop == base + n:
+                            stop = int(np.searchsorted(
+                                epoch_times, t_event, side="right"
+                            ))
+                        k = stop - base
+                        if stop > start:
+                            on_arrivals(
+                                epoch_times[start:stop],
+                                epoch_owners[start:stop],
+                            )
+                            continue
+                        # Only dynamic arrivals remain before the next
+                        # heap event; fall through to the scalar path.
+                    if t_arrival < t_static:
+                        now, owner = schedule.pop_dynamic()
+                    else:
+                        # Static arrivals win same-instant ties.
+                        now = t_static
+                        owner = owners[k]
+                        k += 1
+                    on_arrival(now, owner)
+                else:
+                    now, kind, _seq, payload = heap.pop()
+                    on_event(now, kind, payload)
+        finally:
+            schedule.consumed = base + k

@@ -25,35 +25,37 @@ _INF = float("inf")
 class EventHeap:
     """Min-heap of ``(time_s, kind, seq, payload)`` events."""
 
-    __slots__ = ("_heap", "_seq", "_last_pop_s")
+    __slots__ = ("events", "_seq", "_last_pop_s")
 
     def __init__(self) -> None:
-        self._heap: List[Tuple[float, int, int, Any]] = []
+        #: the heap list itself; the engine loop peeks at ``events[0]``
+        #: in place (read-only — only :meth:`push`/:meth:`pop` change it).
+        self.events: List[Tuple[float, int, int, Any]] = []
         self._seq = 0
         self._last_pop_s = -_INF
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return len(self.events)
 
     def __bool__(self) -> bool:
-        return bool(self._heap)
+        return bool(self.events)
 
     def push(self, time_s: float, kind: int, payload: Any = None) -> None:
         """Schedule one event; same-instant order is (kind, push order)."""
-        heapq.heappush(self._heap, (time_s, kind, self._seq, payload))
+        heapq.heappush(self.events, (time_s, kind, self._seq, payload))
         self._seq += 1
 
     def peek_time(self) -> float:
         """Instant of the next event (``inf`` when empty)."""
-        return self._heap[0][0] if self._heap else _INF
+        return self.events[0][0] if self.events else _INF
 
     def peek_kind(self) -> Optional[int]:
         """Kind of the next event (None when empty)."""
-        return self._heap[0][1] if self._heap else None
+        return self.events[0][1] if self.events else None
 
     def pop(self) -> Tuple[float, int, int, Any]:
         """Pop the next event, enforcing monotone virtual time."""
-        time_s, kind, seq, payload = heapq.heappop(self._heap)
+        time_s, kind, seq, payload = heapq.heappop(self.events)
         if time_s < self._last_pop_s:
             raise ReproError(
                 f"event heap popped t={time_s} after t={self._last_pop_s}: "

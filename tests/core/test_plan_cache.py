@@ -63,6 +63,50 @@ class TestLRU:
             PlanCache(capacity=0)
 
 
+class TestServiceTimeMemo:
+    def test_measures_once_per_key(self):
+        cache = PlanCache()
+        calls = []
+
+        def measure():
+            calls.append(1)
+            return 0.5
+
+        memo_key = (key(), "device", None)
+        assert cache.service_time(memo_key, measure) == 0.5
+        assert cache.service_time(memo_key, measure) == 0.5
+        assert len(calls) == 1
+        # The memo is not plan traffic: the counters stay untouched.
+        assert (cache.hits, cache.misses) == (0, 0)
+
+    def test_clear_empties_the_memo(self):
+        cache = PlanCache()
+        cache.service_time((key(),), lambda: 1.0)
+        cache.clear()
+        assert cache.service_time((key(),), lambda: 2.0) == 2.0
+
+    def test_invalidate_drops_only_that_plans_entries(self):
+        cache = PlanCache()
+        cache.service_time((key(batch=1), "a"), lambda: 1.0)
+        cache.service_time((key(batch=1), "b"), lambda: 1.0)
+        cache.service_time((key(batch=2), "a"), lambda: 1.0)
+        cache.invalidate(key(batch=1))
+        assert cache.service_time((key(batch=1), "a"), lambda: 2.0) == 2.0
+        assert cache.service_time((key(batch=1), "b"), lambda: 2.0) == 2.0
+        assert cache.service_time((key(batch=2), "a"), lambda: 2.0) == 1.0
+
+    def test_memo_is_bounded(self, monkeypatch):
+        from repro.core import plan_cache
+
+        monkeypatch.setattr(plan_cache, "SERVICE_MEMO_CAPACITY", 2)
+        cache = PlanCache()
+        for batch in (1, 2, 3):
+            cache.service_time((key(batch=batch),), lambda: 1.0)
+        # The oldest entry went first; the newer two are still memoized.
+        assert cache.service_time((key(batch=1),), lambda: 2.0) == 2.0
+        assert cache.service_time((key(batch=3),), lambda: 2.0) == 1.0
+
+
 class TestEngineIntegration:
     def test_second_engine_reuses_plan(self):
         cache = PlanCache()

@@ -13,6 +13,7 @@ from repro.faults import (
     BAD_PAYLOADS,
     FLAKY_KERNELS,
     MEMORY_PRESSURE,
+    SCENARIO_CATALOG,
     THERMAL_SOAK,
     FaultScenario,
 )
@@ -76,6 +77,24 @@ def run_faulted(scenario, *, resilience, rate=40, duration=10.0,
     )
     report = sim.run()
     return sim, report
+
+
+@pytest.mark.parametrize("resilience", [False, True])
+@pytest.mark.parametrize("name", sorted(SCENARIO_CATALOG))
+def test_batch_histogram_counts_executed_batches_only(name, resilience):
+    """Fail-fast batches (lost at dispatch, never executed) stay out of
+    the batch histogram: it sums to the batch log, per tenant too."""
+    sim, report = run_faulted(
+        SCENARIO_CATALOG[name], resilience=resilience, rate=60,
+        policy=BatchPolicy(max_batch_size=4, max_wait_s=0.01),
+    )
+    batches = len(sim.batches)
+    assert report.extra["batch_count"] == batches
+    assert sum(report.batch_histogram.values()) == batches
+    for tenant in report.tenants:
+        assert sum(tenant.batch_histogram.values()) == sum(
+            1 for b in sim.batches if b.tenant == tenant.name
+        )
 
 
 class TestFlakyKernels:
